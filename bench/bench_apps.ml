@@ -59,67 +59,31 @@ type app_case = {
 
 let seed = 2014
 
+(* A table app (Apps.Suite): [prepare] builds its seeded input and a
+   fresh world, so both are timed into build_s, outside the passes. *)
+let suite_case ?(priority = Galois.Policy.Prio_off) ?name app size =
+  let prepare ~seed ~size =
+    let (Apps.Suite.Input input) = (Apps.Suite.get app).load ~size ~seed in
+    let w = input.fresh ~static_id:false in
+    let exec ~pool policy =
+      w.run |> Galois.Run.policy policy |> Galois.Run.pool pool |> Galois.Run.exec
+    in
+    (exec, Option.fold ~none:0 ~some:Graphlib.Csr.memory_bytes input.graph)
+  in
+  { name = Option.value name ~default:app; size; priority; prepare }
+
 let cases ~tiny =
   let sz small t = if tiny then t else small in
   [
-    {
-      name = "bfs";
-      size = sz 20_000 600;
-      priority = Galois.Policy.Prio_off;
-      prepare =
-        (fun ~seed ~size ->
-          let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-          ( (fun ~pool policy -> snd (Apps.Bfs.galois ~pool ~policy g ~source:0)),
-            Graphlib.Csr.memory_bytes g ));
-    };
-    {
-      name = "sssp";
-      size = sz 10_000 500;
-      priority = Galois.Policy.Prio_off;
-      prepare =
-        (fun ~seed ~size ->
-          let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-          let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-          ( (fun ~pool policy -> snd (Apps.Sssp.galois ~pool ~policy g w ~source:0)),
-            Graphlib.Csr.memory_bytes g ));
-    };
-    {
-      (* The same weighted input as sssp, scheduled by tentative
-         distance (prio=auto delta-stepping buckets). Results and the
-         sssp record's input digest column aside, the pair is read
-         through work_units/efficiency: ordering by distance commits
-         the same distances with fewer wasted re-relaxations. *)
-      name = "sssp_auto";
-      size = sz 10_000 500;
-      priority = Galois.Policy.Prio_auto;
-      prepare =
-        (fun ~seed ~size ->
-          let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-          let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-          ( (fun ~pool policy -> snd (Apps.Sssp.galois ~pool ~policy g w ~source:0)),
-            Graphlib.Csr.memory_bytes g ));
-    };
-    {
-      name = "boruvka";
-      size = sz 1_000 400;
-      priority = Galois.Policy.Prio_off;
-      prepare =
-        (fun ~seed ~size ->
-          let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:4 ()) in
-          let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-          ( (fun ~pool policy -> snd (Apps.Boruvka.galois ~pool ~policy g w)),
-            Graphlib.Csr.memory_bytes g ));
-    };
-    {
-      name = "dmr";
-      size = sz 1_500 150;
-      priority = Galois.Policy.Prio_off;
-      prepare =
-        (fun ~seed ~size ->
-          let pts = Geometry.Point.random_unit_square ~seed size in
-          let mesh = Apps.Dt.serial pts in
-          ((fun ~pool policy -> Apps.Dmr.galois ~pool ~policy mesh), 0));
-    };
+    suite_case "bfs" (sz 20_000 600);
+    suite_case "sssp" (sz 10_000 500);
+    (* The same weighted input as sssp, scheduled by tentative distance
+       (prio=auto delta-stepping buckets). The pair is read through
+       work_units/efficiency: ordering by distance commits the same
+       distances with fewer wasted re-relaxations. *)
+    suite_case "sssp" ~name:"sssp_auto" ~priority:Galois.Policy.Prio_auto (sz 10_000 500);
+    suite_case "boruvka" (sz 1_000 400);
+    suite_case "dmr" (sz 1_500 150);
   ]
 
 (* The paper-scale tier (opt-in via --large): million-vertex R-MAT
@@ -130,35 +94,24 @@ let cases ~tiny =
    Sizes are the node counts, so the records slot into the same schema;
    distinct names give them their own BENCH_<app>.json baselines. *)
 let large_cases =
-  let log2 n =
-    let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-    go 0 n
+  let rmat_case name ~scale ~weighted run =
+    let prepare ~seed ~size =
+      let g =
+        Graphlib.Generators.rmat ~seed ~scale:(Apps.Suite.floor_log2 size) ~edge_factor:8 ()
+      in
+      let g =
+        if weighted then Graphlib.Graph_io.attach_random_weights ~seed:(seed + 1) ~max_weight:100 g
+        else g
+      in
+      ((fun ~pool policy -> snd (run ~pool ~policy g)), Graphlib.Csr.memory_bytes g)
+    in
+    { name; size = 1 lsl scale; priority = Galois.Policy.Prio_off; prepare }
   in
   [
-    {
-      name = "bfs_large";
-      size = 1 lsl 20;
-      priority = Galois.Policy.Prio_off;
-      prepare =
-        (fun ~seed ~size ->
-          let g = Graphlib.Generators.rmat ~seed ~scale:(log2 size) ~edge_factor:8 () in
-          ( (fun ~pool policy -> snd (Apps.Bfs.galois ~pool ~policy g ~source:0)),
-            Graphlib.Csr.memory_bytes g ));
-    };
-    {
-      name = "sssp_large";
-      size = 1 lsl 18;
-      priority = Galois.Policy.Prio_off;
-      prepare =
-        (fun ~seed ~size ->
-          let g = Graphlib.Generators.rmat ~seed ~scale:(log2 size) ~edge_factor:8 () in
-          let g =
-            Graphlib.Graph_io.attach_random_weights ~seed:(seed + 1) ~max_weight:100 g
-          in
-          ( (fun ~pool policy ->
-              snd (Apps.Sssp.galois_weighted ~pool ~policy g ~source:0)),
-            Graphlib.Csr.memory_bytes g ));
-    };
+    rmat_case "bfs_large" ~scale:20 ~weighted:false (fun ~pool ~policy g ->
+        Apps.Bfs.galois ~pool ~policy g ~source:0);
+    rmat_case "sssp_large" ~scale:18 ~weighted:true (fun ~pool ~policy g ->
+        Apps.Sssp.galois_weighted ~pool ~policy g ~source:0);
   ]
 
 let bench_case ~threads ~timing_pool ~alloc_pool { name; size; priority; prepare } =
@@ -489,14 +442,17 @@ let () =
      cache — the delta is purely what the narrower layout buys. *)
   if !cachesim then begin
     let n = if tiny then 2_000 else 20_000 in
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
     (* Re-base lock ids so the recorded lids are exactly the node ids
        the layout model maps onto plane addresses. *)
     Galois.Lock.reset_lids ();
-    let _, report =
-      Apps.Bfs.galois ~record:true ~policy:(Galois.Policy.det 1) g ~source:0
+    let (Apps.Suite.Input input) = (Apps.Suite.get "bfs").load ~size:n ~seed in
+    let g = Option.get input.graph in
+    let report =
+      (input.fresh ~static_id:false).run
+      |> Galois.Run.policy (Galois.Policy.det 1)
+      |> Galois.Run.record |> Galois.Run.exec
     in
-    match report.Galois.Runtime.schedule with
+    match report.schedule with
     | None -> Fmt.failwith "bench_apps: --cachesim run recorded no schedule"
     | Some sched ->
         let boxed, compact = Cachesim.Layout.compare_layouts g sched in

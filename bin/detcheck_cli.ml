@@ -10,6 +10,18 @@
 let parse_int_list s =
   try List.map int_of_string (String.split_on_char ',' s) with _ -> []
 
+let app_names = String.concat " | " (List.map (fun (e : Apps.Suite.t) -> e.name) Apps.Suite.all)
+
+(* Run [f] on the table entry an --apps name denotes, sized by --points
+   for point inputs and by --size otherwise; an unknown name is a
+   failure. *)
+let with_app ~failures ~size ~points name f =
+  match Apps.Suite.find name with
+  | Some e -> f e ~size:(if e.points then points else size)
+  | None ->
+      incr failures;
+      Fmt.pr "FAIL  unknown app %S (expected %s)@." name app_names
+
 (* --dmr-style: dual-modular-redundancy-style lockstep verification.
    Run every case twice — two fresh worlds, two thread counts — with a
    digest checkpoint every K rounds, and cross-check the trails: the
@@ -26,7 +38,7 @@ let run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose =
   let boundaries = ref 0 in
   let audit (Detcheck.Replay_cases.Case c) =
     let collect t =
-      let run, output_digest = c.fresh ~static_id:false () in
+      let run, output_digest = c.fresh () in
       let trail, report =
         Replay.Lockstep.collect ~every
           (run |> Galois.Run.policy (Galois.Policy.det t))
@@ -65,21 +77,10 @@ let run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose =
             stats_a.Galois.Stats.digest
         else Fmt.pr "ok    %s: %a@." c.name Replay.Lockstep.pp_verdict verdict
   in
-  let app_case name =
-    match name with
-    | "bfs" -> Some (Detcheck.Replay_cases.bfs ~n:size ~seed)
-    | "sssp" -> Some (Detcheck.Replay_cases.sssp ~n:size ~seed)
-    | "mst" | "boruvka" -> Some (Detcheck.Replay_cases.boruvka ~n:size ~seed)
-    | "dmr" -> Some (Detcheck.Replay_cases.dmr ~points ~seed)
-    | _ -> None
-  in
   List.iter
     (fun name ->
-      match app_case name with
-      | Some case -> audit case
-      | None ->
-          incr failures;
-          Fmt.pr "FAIL  unknown app %S (expected bfs | sssp | mst | dmr)@." name)
+      with_app ~failures ~size ~points name (fun e ~size ->
+          audit (Detcheck.Replay_cases.app e ~size ~seed)))
     apps;
   for i = 0 to cases - 1 do
     audit (Detcheck.Replay_cases.gen ~seed:(seed + i))
@@ -139,10 +140,10 @@ let run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose =
   end
   else `Error (false, Printf.sprintf "detcheck --dmr-style: %d failure(s)" !failures)
 
-(* --audit: dynamic neighborhood/race audit. Every Run-based benchmark
-   executes with the shadow access recorder on — its report must be
-   clean at every thread count (cautiousness, containment, and
-   intra-round disjointness, acquires counting as writes) — then the two
+(* --audit: dynamic neighborhood/race audit. Every benchmark executes
+   with the shadow access recorder on — its report must be clean at
+   every thread count (cautiousness, containment, and intra-round
+   disjointness, acquires counting as writes) — then the two
    deliberately broken operators run as positive controls, whose witness
    findings must be flagged verbatim with (rule, round, task). *)
 let run_audit ~seed ~threads ~size ~points ~verbose =
@@ -227,21 +228,10 @@ let run ~cases ~seed ~apps ~threads ~size ~points ~service ~verbose =
       Fmt.pr "FAIL  %a@." Detcheck.pp_report report
     end
   in
-  let app_case name =
-    match name with
-    | "bfs" -> Some (Detcheck.App_cases.bfs ~n:size ~seed)
-    | "sssp" -> Some (Detcheck.App_cases.sssp ~n:size ~seed)
-    | "mst" | "boruvka" -> Some (Detcheck.App_cases.boruvka ~n:size ~seed)
-    | "dmr" -> Some (Detcheck.App_cases.dmr ~points ~seed)
-    | _ -> None
-  in
   List.iter
     (fun name ->
-      match app_case name with
-      | Some case -> audit case
-      | None ->
-          incr failures;
-          Fmt.pr "FAIL  unknown app %S (expected bfs | sssp | mst | dmr)@." name)
+      with_app ~failures ~size ~points name (fun e ~size ->
+          audit (Detcheck.App_cases.case e ~size ~seed)))
     apps;
   for i = 0 to cases - 1 do
     audit (Detcheck.Gen.case ~seed:(seed + i))
@@ -305,7 +295,7 @@ let seed_arg =
   Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let apps_arg =
-  let doc = "Comma-separated benchmarks to audit (bfs | sssp | mst | dmr); empty to skip." in
+  let doc = Printf.sprintf "Comma-separated benchmarks to audit (%s); empty to skip." app_names in
   let parse s =
     Ok (List.filter (fun x -> x <> "") (String.split_on_char ',' (String.trim s)))
   in
@@ -326,11 +316,11 @@ let threads_arg =
   Arg.(value & opt threads_conv [ 1; 2; 4; 8 ] & info [ "threads" ] ~docv:"T,T,..." ~doc)
 
 let size_arg =
-  let doc = "Graph size (nodes) for the graph benchmarks." in
+  let doc = "Input size (nodes) for the graph benchmarks." in
   Arg.(value & opt int 400 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
 let points_arg =
-  let doc = "Point count for the dmr benchmark." in
+  let doc = "Input size (points) for the mesh benchmarks (dmr, dt)." in
   Arg.(value & opt int 110 & info [ "points" ] ~docv:"N" ~doc)
 
 let service_arg =
@@ -360,7 +350,7 @@ let every_arg =
 
 let audit_arg =
   let doc =
-    "Dynamic neighborhood/race audit: run every Run-based benchmark with the shadow \
+    "Dynamic neighborhood/race audit: run every benchmark with the shadow \
      access recorder on (reports must be clean — cautious, contained, intra-round \
      disjoint — at every $(b,--threads) count), then two deliberately broken operators \
      as positive controls whose findings must be localized to (rule, round, task)."

@@ -4,10 +4,11 @@
    picks the scheduler at run time, and [--trace FILE] streams the
    runtime's observability events (lib/obs) to a JSONL file.
 
-   The checkpoint/replay flags (--checkpoint, --resume, --replay-to,
-   --crash-resume, --schedule-out) drive det-policy runs of
-   bfs | sssp | mst | dmr through the replay harness instead of the
-   plain benchmark path. *)
+   Every app of the table (Apps.Suite) runs through one path: its plan
+   with the policy, the sink and the checkpoint/replay flags
+   (--checkpoint, --resume, --replay-to, --crash-resume, --schedule-out;
+   det policies only) composed on. Preflow-push, a loop of epochs, runs
+   on its own. *)
 
 module D = Galois.Trace_digest
 
@@ -31,216 +32,122 @@ let replay_requested r =
    prefix dump against the same rounds of an uninterrupted run is the
    @replay-smoke check. *)
 let dump_schedule_prefix ~out (report : Galois.Runtime.report) =
-  let lines =
-    match report.schedule with
-    | Some (Galois.Schedule.Rounds rounds) ->
-        let first = report.stats.rounds - List.length rounds + 1 in
-        List.mapi
-          (fun i window ->
-            let committed =
-              Array.fold_left
-                (fun a (t : Galois.Schedule.task_record) -> if t.committed then a + 1 else a)
-                0 window
-            in
-            Printf.sprintf "round=%d window=%d committed=%d" (first + i)
-              (Array.length window) committed)
-          rounds
-    | Some (Galois.Schedule.Flat _) | None -> []
+  let rounds = match report.schedule with Some (Galois.Schedule.Rounds r) -> r | _ -> [] in
+  let first = report.stats.rounds - List.length rounds + 1 in
+  let round i window =
+    let committed =
+      Array.fold_left
+        (fun a (t : Galois.Schedule.task_record) -> if t.committed then a + 1 else a)
+        0 window
+    in
+    Printf.sprintf "round=%d window=%d committed=%d\n" (first + i) (Array.length window)
+      committed
   in
-  let lines =
-    lines
-    @ [ Printf.sprintf "digest=%s rounds=%d" (D.to_hex report.stats.digest)
-          report.stats.rounds ]
+  let text =
+    String.concat "" (List.mapi round rounds)
+    ^ Printf.sprintf "digest=%s rounds=%d\n" (D.to_hex report.stats.digest) report.stats.rounds
   in
   match out with
-  | None -> List.iter print_endline lines
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+  | None -> print_string text
+  | Some path -> Out_channel.with_open_text path (fun oc -> output_string oc text)
 
-let replay_case ~app ~size ~seed =
-  match app with
-  | "bfs" -> Some (Detcheck.Replay_cases.bfs ~n:size ~seed)
-  | "sssp" -> Some (Detcheck.Replay_cases.sssp ~n:size ~seed)
-  | "mst" -> Some (Detcheck.Replay_cases.boruvka ~n:size ~seed)
-  | "dmr" -> Some (Detcheck.Replay_cases.dmr ~points:size ~seed)
-  | _ -> None
+let pp_stats name policy (stats : Galois.Stats.t) =
+  Fmt.pr "%s (%a):@." name Galois.Policy.pp policy;
+  Fmt.pr "  %a@." Galois.Stats.pp stats
 
-let run_replay ~app ~policy ~size ~seed ~sink r =
-  match replay_case ~app ~size ~seed with
-  | None ->
+(* The one run path of every table app: the entry's plan, with the
+   policy, the sink and the checkpoint/replay flags composed on. *)
+let run_entry (e : Apps.Suite.t) ~policy ~size ~seed ~sink r =
+  if (Option.is_some r.checkpoint || Option.is_some r.resume) && not e.snapshot_capable then
+    `Error
+      ( false,
+        Printf.sprintf
+          "%s has no serializable world state; use --crash-resume (live in-process resume) \
+           instead"
+          e.name )
+  else
+    let (Apps.Suite.Input input) = e.load ~size ~seed in
+    match r.crash_at with
+    | Some at ->
+        (* Two fresh worlds: run one to completion, crash and resume the
+           other, then require digest & output equality. *)
+        let full = input.fresh ~static_id:false in
+        let crash = input.fresh ~static_id:false in
+        let outcome =
+          Replay.crash_resume ~at
+            ~full:(full.run |> Galois.Run.policy policy)
+            ~crash:(crash.run |> Galois.Run.policy policy)
+            ()
+        in
+        let pp_line tag (rep : Galois.Runtime.report) =
+          Fmt.pr "  %s digest=%a rounds=%d commits=%d@." tag D.pp rep.stats.digest
+            rep.stats.rounds rep.stats.commits
+        in
+        Fmt.pr "crash-resume %s (%a): crashed after round %d of %d@." e.name
+          Galois.Policy.pp policy outcome.crash_round outcome.full.stats.rounds;
+        pp_line "full   " outcome.full;
+        pp_line "resumed" outcome.resumed;
+        let ok =
+          D.equal outcome.full.stats.digest outcome.resumed.stats.digest
+          && D.equal (full.output ()) (crash.output ())
+        in
+        Fmt.pr "  verdict=%s@." (if ok then "identical" else "DIVERGED");
+        if ok then `Ok () else `Error (false, "crash-resume replay diverged")
+    | None ->
+        let w = input.fresh ~static_id:false in
+        let dump = Option.is_some r.replay_to || Option.is_some r.schedule_out in
+        let report =
+          w.run
+          |> Galois.Run.policy policy
+          |> Galois.Run.sink sink
+          |> Galois.Run.opt Galois.Run.checkpoint_to r.checkpoint
+          |> Galois.Run.opt Galois.Run.checkpoint_every r.every
+          |> Galois.Run.opt Galois.Run.resume_from r.resume
+          |> Galois.Run.opt Galois.Run.stop_after r.replay_to
+          |> (if dump then Galois.Run.record else Fun.id)
+          |> Galois.Run.exec
+        in
+        pp_stats e.name policy report.stats;
+        (* A run stopped by --replay-to has no finished output to check. *)
+        if Option.is_none r.replay_to then
+          Fmt.pr "  %s; valid=%b@." (w.summary ()) (w.valid ());
+        Fmt.pr "  output digest=%s@." (D.to_hex (w.output ()));
+        if dump then dump_schedule_prefix ~out:r.schedule_out report;
+        `Ok ()
+
+let names select =
+  String.concat " | "
+    (List.filter_map
+       (fun (e : Apps.Suite.t) -> if select e then Some e.name else None)
+       Apps.Suite.all)
+
+let run_app ~app ~policy ~size ~seed ~sink r =
+  match Apps.Suite.find app with
+  | Some e -> (
+      try run_entry e ~policy ~size ~seed ~sink r
+      with Invalid_argument msg | Failure msg -> `Error (false, msg))
+  | None when app <> "pfp" -> `Error (false, Printf.sprintf "unknown app %S" app)
+  | None when replay_requested r ->
       `Error
-        (false, "checkpoint/replay flags support the bfs | sssp | mst | dmr benchmarks only")
-  | Some (Detcheck.Replay_cases.Case c) -> (
-      try
-        if
-          (Option.is_some r.checkpoint || Option.is_some r.resume)
-          && not c.snapshot_capable
-        then
-          `Error
-            ( false,
-              Printf.sprintf
-                "%s has no serializable world state; use --crash-resume (live in-process \
-                 resume) instead"
-                app )
-        else
-          match r.crash_at with
-          | Some at ->
-              (* Two fresh worlds: run one to completion, crash and
-                 resume the other, then require digest & output equality. *)
-              let full, full_out = c.fresh ~static_id:false () in
-              let crash, crash_out = c.fresh ~static_id:false () in
-              let outcome =
-                Replay.crash_resume ~at
-                  ~full:(full |> Galois.Run.policy policy)
-                  ~crash:(crash |> Galois.Run.policy policy)
-                  ()
-              in
-              let pp_line tag (rep : Galois.Runtime.report) =
-                Fmt.pr "  %s digest=%a rounds=%d commits=%d@." tag D.pp rep.stats.digest
-                  rep.stats.rounds rep.stats.commits
-              in
-              Fmt.pr "crash-resume %s (%a): crashed after round %d of %d@." app
-                Galois.Policy.pp policy outcome.crash_round outcome.full.stats.rounds;
-              pp_line "full   " outcome.full;
-              pp_line "resumed" outcome.resumed;
-              let ok =
-                D.equal outcome.full.stats.digest outcome.resumed.stats.digest
-                && D.equal (full_out ()) (crash_out ())
-              in
-              Fmt.pr "  verdict=%s@." (if ok then "identical" else "DIVERGED");
-              if ok then `Ok () else `Error (false, "crash-resume replay diverged")
-          | None ->
-              let run, out = c.fresh ~static_id:false () in
-              let report =
-                run
-                |> Galois.Run.policy policy
-                |> Galois.Run.sink sink
-                |> Galois.Run.opt Galois.Run.checkpoint_to r.checkpoint
-                |> Galois.Run.opt Galois.Run.checkpoint_every r.every
-                |> Galois.Run.opt Galois.Run.resume_from r.resume
-                |> Galois.Run.opt Galois.Run.stop_after r.replay_to
-                |> (if Option.is_some r.replay_to || Option.is_some r.schedule_out then
-                      Galois.Run.record
-                    else Fun.id)
-                |> Galois.Run.exec
-              in
-              Fmt.pr "%s (%a):@." app Galois.Policy.pp policy;
-              Fmt.pr "  %a@." Galois.Stats.pp report.stats;
-              Fmt.pr "  output digest=%s@." (D.to_hex (out ()));
-              if Option.is_some r.replay_to || Option.is_some r.schedule_out then
-                dump_schedule_prefix ~out:r.schedule_out report;
-              `Ok ()
-      with
-      | Invalid_argument msg | Failure msg -> `Error (false, msg))
-
-let run_app ~app ~policy ~size ~seed ~verbose ~sink =
-  let pp_stats name (stats : Galois.Stats.t) =
-    Fmt.pr "%s (%a):@." name Galois.Policy.pp policy;
-    Fmt.pr "  %a@." Galois.Stats.pp stats
-  in
-  match app with
-  | "bfs" ->
-      let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let dist, report = Apps.Bfs.galois ~sink ~policy g ~source:0 in
-      pp_stats "bfs" report.stats;
-      let reached = Array.fold_left (fun a d -> if d <> Apps.Bfs.unreached then a + 1 else a) 0 dist in
-      Fmt.pr "  reached %d of %d nodes; valid=%b@." reached size
-        (Apps.Bfs.validate g ~source:0 dist);
-      if verbose then
-        Fmt.pr "  first distances: %a@."
-          Fmt.(list ~sep:sp int)
-          (Array.to_list (Array.sub dist 0 (min 20 size)));
-      `Ok ()
-  | "mis" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let in_mis, report = Apps.Mis.galois ~sink ~policy g in
-      pp_stats "mis" report.stats;
-      let members = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in_mis in
-      Fmt.pr "  |MIS| = %d; valid=%b@." members (Apps.Mis.is_maximal_independent g in_mis);
-      `Ok ()
-  | "dt" ->
-      let pts = Geometry.Point.random_unit_square ~seed size in
-      let mesh, report = Apps.Dt.galois ~sink ~policy pts in
-      pp_stats "dt" report.stats;
-      Fmt.pr "  triangles=%d, delaunay violations=%d@." (Mesh.triangle_count mesh)
-        (Mesh.delaunay_violations mesh);
-      `Ok ()
-  | "dmr" ->
-      let pts = Geometry.Point.random_unit_square ~seed size in
-      let mesh = Apps.Dt.serial pts in
-      let before = Mesh.triangle_count mesh in
-      let report = Apps.Dmr.galois ~sink ~policy mesh in
-      pp_stats "dmr" report.stats;
-      Fmt.pr "  triangles %d -> %d; refined=%b@." before (Mesh.triangle_count mesh)
-        (Apps.Dmr.refined Apps.Dmr.default_config mesh);
-      `Ok ()
-  | "pfp" ->
-      let g, caps, source, sink_node = Graphlib.Generators.flow_network ~seed ~n:size ~k:4 () in
-      let net = Apps.Flow_network.of_graph g caps ~source ~sink:sink_node in
+        ( false,
+          Printf.sprintf "checkpoint/replay flags support the %s benchmarks only"
+            (names (fun _ -> true)) )
+  | None ->
+      (* Preflow-push runs a loop of epochs, not one plan, so it stays
+         outside the table and the replay flags. *)
+      let net = Apps.Suite.pfp_input ~size ~seed in
       let result = Apps.Pfp.galois ~sink ~policy net in
-      pp_stats "pfp" result.stats;
+      pp_stats "pfp" policy result.stats;
       let ok, _ = Apps.Flow_network.check_flow net in
-      Fmt.pr "  max flow=%d; epochs=%d; global relabels=%d; conservation=%b@."
-        result.flow_value result.epochs result.global_relabels ok;
+      Fmt.pr "  max flow=%d; epochs=%d; global relabels=%d; conservation=%b@." result.flow_value
+        result.epochs result.global_relabels ok;
       `Ok ()
-  | "cc" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let label, report = Apps.Cc.galois ~sink ~policy g in
-      pp_stats "cc" report.stats;
-      Fmt.pr "  %d components; valid=%b@." (Apps.Cc.count_components label)
-        (Apps.Cc.validate g label);
-      `Ok ()
-  | "sssp" ->
-      let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-      let dist, report = Apps.Sssp.galois ~sink ~policy g w ~source:0 in
-      pp_stats "sssp" report.stats;
-      let reached =
-        Array.fold_left (fun a d -> if d <> Apps.Sssp.unreached then a + 1 else a) 0 dist
-      in
-      Fmt.pr "  reached %d of %d; valid=%b@." reached size (Apps.Sssp.validate g w ~source:0 dist);
-      `Ok ()
-  | "mst" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:4 ()) in
-      let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-      let forest, report = Apps.Boruvka.galois ~sink ~policy g w in
-      pp_stats "mst (boruvka)" report.stats;
-      Fmt.pr "  forest: %d edges, total weight %d; valid=%b@."
-        (List.length forest.Apps.Boruvka.parent_edge) forest.Apps.Boruvka.total_weight
-        (Apps.Boruvka.validate g forest);
-      `Ok ()
-  | "triangles" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.rmat ~seed ~scale:11 ~edge_factor:8 ()) in
-      let total, report = Apps.Triangles.galois ~sink ~policy g in
-      pp_stats "triangles" report.stats;
-      Fmt.pr "  %d triangles@." total;
-      `Ok ()
-  | "kcore" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let core, report = Apps.Kcore.galois ~sink ~policy g in
-      pp_stats "kcore" report.stats;
-      let kmax = Array.fold_left max 0 core in
-      Fmt.pr "  max coreness=%d; valid=%b@." kmax (Apps.Kcore.validate g core);
-      `Ok ()
-  | "pagerank" ->
-      let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let ranks, report = Apps.Pagerank.galois ~sink ~policy g in
-      pp_stats "pagerank" report.stats;
-      let reference = Apps.Pagerank.serial g in
-      Fmt.pr "  max deviation from power iteration: %.5f@."
-        (Apps.Pagerank.max_abs_diff ranks reference);
-      `Ok ()
-  | other -> `Error (false, Printf.sprintf "unknown app %S" other)
 
 open Cmdliner
 
 let app_arg =
   let doc =
-    "Benchmark to run: bfs | mis | dt | dmr | pfp | cc | sssp | mst | kcore | triangles | \
-     pagerank."
+    Printf.sprintf "Benchmark to run: %s | pfp ($(b,mst) names boruvka)." (names (fun _ -> true))
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
@@ -262,16 +169,15 @@ let policy_arg =
   Arg.(value & opt policy_conv Galois.Policy.serial & info [ "p"; "policy" ] ~docv:"POLICY" ~doc)
 
 let size_arg =
-  let doc = "Input size (nodes / points, app-dependent)." in
+  let doc =
+    "Input size: points for dmr and dt, nodes otherwise (triangles runs on the \
+     R-MAT graph of scale floor(log2 N))."
+  in
   Arg.(value & opt int 10_000 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Input generator seed (same seed = same input everywhere)." in
   Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let verbose_arg =
-  let doc = "Print sample output values." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
 let trace_arg =
   let doc =
@@ -283,9 +189,11 @@ let trace_arg =
 
 let checkpoint_arg =
   let doc =
-    "Write round-boundary snapshots to $(docv) (atomically; the file always holds the \
-     latest complete snapshot). Requires a det policy; bfs and sssp only (their world \
-     state is serializable)."
+    Printf.sprintf
+      "Write round-boundary snapshots to $(docv) (atomically; the file always holds the \
+       latest complete snapshot). Requires a det policy; %s only (their world state is \
+       serializable)."
+      (names (fun e -> e.snapshot_capable))
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
@@ -309,9 +217,11 @@ let replay_to_arg =
 
 let crash_resume_arg =
   let doc =
-    "Crash-injection self-check: run the benchmark to completion, run a second fresh \
-     world that is stopped at round $(docv) and resumed live, and verify both digests \
-     and outputs agree. Exits non-zero on divergence. Supports bfs | sssp | mst | dmr."
+    Printf.sprintf
+      "Crash-injection self-check: run the benchmark to completion, run a second fresh \
+       world that is stopped at round $(docv) and resumed live, and verify both digests \
+       and outputs agree. Exits non-zero on divergence. Supports %s."
+      (names (fun _ -> true))
   in
   Arg.(value & opt (some int) None & info [ "crash-resume" ] ~docv:"ROUND" ~doc)
 
@@ -339,26 +249,24 @@ let cmd =
       `P "galois-run dmr -n 2000 --policy det:4 --crash-resume 5";
     ]
   in
-  let run_traced app policy size seed verbose trace checkpoint every resume replay_to
+  let run_traced app policy size seed trace checkpoint every resume replay_to
       crash_at schedule_out =
     let r = { checkpoint; every; resume; replay_to; crash_at; schedule_out } in
-    let dispatch sink =
-      if replay_requested r then run_replay ~app ~policy ~size ~seed ~sink r
-      else run_app ~app ~policy ~size ~seed ~verbose ~sink
-    in
     (* The sink is assembled with the combinators: [of_list] collapses
        to [Obs.null] when no trace was requested, and teeing/closing a
-       null sink is free, so dispatch never branches on an option. *)
+       null sink is free, so the run never branches on an option. *)
     let sink =
       Obs.Sink.of_list
         (match trace with None -> [] | Some path -> [ Obs.Jsonl.file path ])
     in
-    Fun.protect ~finally:(fun () -> Obs.close sink) (fun () -> dispatch sink)
+    Fun.protect
+      ~finally:(fun () -> Obs.close sink)
+      (fun () -> run_app ~app ~policy ~size ~seed ~sink r)
   in
   let term =
     Term.(
       ret
-        (const run_traced $ app_arg $ policy_arg $ size_arg $ seed_arg $ verbose_arg
+        (const run_traced $ app_arg $ policy_arg $ size_arg $ seed_arg
        $ trace_arg $ checkpoint_arg $ every_arg $ resume_arg $ replay_to_arg
        $ crash_resume_arg $ schedule_out_arg))
   in

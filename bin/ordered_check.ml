@@ -79,24 +79,23 @@ let () =
   check "ordered work-unit drop meets floor" (drop >= !min_drop);
 
   (* --- kcore: fixpoint equals peeling at every thread count -------- *)
-  let g2 =
-    Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed:2016 ~n:4000 ~k:5 ())
-  in
-  let core_ref = Apps.Kcore.serial g2 in
+  let (Apps.Suite.Input kcore) = (Apps.Suite.get "kcore").load ~size:4000 ~seed:2016 in
   let run_kcore policy =
-    let core, report = Apps.Kcore.galois ~policy g2 in
-    (core, report.Galois.Runtime.stats)
+    let w = kcore.fresh ~static_id:false in
+    let report = w.run |> Galois.Run.policy policy |> Galois.Run.exec in
+    (w.valid (), report.stats)
   in
+  let g2 = Option.get kcore.graph in
   Fmt.pr "kcore: symmetrized kout (%d nodes, %d edges)@." (Graphlib.Csr.nodes g2)
     (Graphlib.Csr.edges g2);
-  let c_auto4, k4 = run_kcore (det ~priority:Galois.Policy.Prio_auto 4) in
-  let c_auto1, k1 = run_kcore (det ~priority:Galois.Policy.Prio_auto 1) in
-  let c_delta, kd = run_kcore (det ~priority:(Galois.Policy.Prio_delta 2) 4) in
-  let c_off, _ = run_kcore (det 4) in
-  check "prio=auto coreness matches peeling (4 threads)" (c_auto4 = core_ref);
-  check "prio=auto coreness matches peeling (1 thread)" (c_auto1 = core_ref);
-  check "prio=delta:2 coreness matches peeling" (c_delta = core_ref);
-  check "prio=off coreness matches peeling" (c_off = core_ref);
+  let auto4, k4 = run_kcore (det ~priority:Galois.Policy.Prio_auto 4) in
+  let auto1, k1 = run_kcore (det ~priority:Galois.Policy.Prio_auto 1) in
+  let delta, kd = run_kcore (det ~priority:(Galois.Policy.Prio_delta 2) 4) in
+  let off, _ = run_kcore (det 4) in
+  check "prio=auto coreness matches peeling (4 threads)" auto4;
+  check "prio=auto coreness matches peeling (1 thread)" auto1;
+  check "prio=delta:2 coreness matches peeling" delta;
+  check "prio=off coreness matches peeling" off;
   check "kcore prio=auto digest thread-invariant" (D.equal k4.digest k1.digest);
   check "kcore delta changes the schedule" (not (D.equal k4.digest kd.digest));
 

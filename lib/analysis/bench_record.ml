@@ -374,6 +374,8 @@ let compare_to ~baseline current =
       (float_of_int current.graph_bytes);
   ]
 
+(* Six significant digits, so sub-0.05 values (tiny phase times,
+   latencies, efficiency) stay distinct. *)
 let pp_delta ppf d =
-  Fmt.pf ppf "%-24s %14.1f -> %14.1f  (%+.1f%%)" d.metric d.baseline d.current
+  Fmt.pf ppf "%-24s %14.6g -> %14.6g  (%+.1f%%)" d.metric d.baseline d.current
     d.change_pct

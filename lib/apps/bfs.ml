@@ -41,20 +41,9 @@ let plan g ~source =
          ~save:(fun () -> Array.copy dist)
          ~restore:(fun saved -> Array.blit saved 0 dist 0 n)
   in
-  (run, dist)
+  { App.run; result = (fun () -> dist) }
 
-let galois ?record ?audit ?sink ~policy ?pool g ~source =
-  let run, dist = plan g ~source in
-  let report =
-    run
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (dist, report)
+let galois ?sink ~policy ?pool g ~source = App.exec ?sink ~policy ?pool (plan g ~source)
 
 let serial g ~source =
   let n = Csr.nodes g in

@@ -3,17 +3,13 @@
 val unreached : int
 (** Distance value of unreachable nodes ([max_int]). *)
 
-val plan :
-  Graphlib.Csr.t -> source:int -> ((int * int), unit) Galois.Run.t * int array
-(** The unexecuted {!galois} run description plus the distance array it
-    will fill — the checkpoint/replay layer's entry point. The
-    description is tagged [app "bfs"] and carries a
-    [Run.snapshot_state] hook over the distance array, so snapshots can
-    resume in a fresh process. *)
+val plan : Graphlib.Csr.t -> source:int -> (int * int, unit, int array) App.plan
+(** The unexecuted {!galois} run description plus a reader of the
+    distance array it fills. The description is tagged [app "bfs"] and
+    carries a [Run.snapshot_state] hook over the distance array, so
+    snapshots can resume in a fresh process. *)
 
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

@@ -6,16 +6,13 @@
 
 type forest = { parent_edge : int list; total_weight : int }
 
-val plan :
-  Graphlib.Csr.t -> int array -> (int, unit) Galois.Run.t * (unit -> forest)
-(** The unexecuted {!galois} description plus a closure reading the
-    forest off the world after (each) exec. Tagged [app "boruvka"];
+val plan : Graphlib.Csr.t -> int array -> (int, unit, forest) App.plan
+(** The unexecuted {!galois} description plus a reader of the forest
+    (recomputed off the world on each call). Tagged [app "boruvka"];
     carries no snapshot-state hook (union-find is not serializable), so
     it supports live in-process resume only. *)
 
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

@@ -1,9 +1,10 @@
 (** Connected components by label propagation (Galois program) and
     union-find (sequential baseline). The graph must be symmetric. *)
 
+val plan : Graphlib.Csr.t -> (int, unit, int array) App.plan
+(** {!galois} as a plan (result: the labels), tagged [app "cc"]. *)
+
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

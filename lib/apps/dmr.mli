@@ -22,16 +22,14 @@ val plan_cavity :
 type op_state
 (** The operator's saved-continuation state (an insertion plan). *)
 
-val plan : ?config:config -> Mesh.t -> (Mesh.triangle, op_state) Galois.Run.t
+val plan : ?config:config -> Mesh.t -> (Mesh.triangle, op_state, Mesh.t) App.plan
 (** The unexecuted {!galois} description over the mesh's current bad
-    triangles, tagged [app "dmr"]. No snapshot-state hook — triangles
-    live inside the mesh, so dmr supports live in-process resume
-    only. *)
+    triangles (its result is the mesh, refined in place), tagged
+    [app "dmr"]. No snapshot-state hook — triangles live inside the
+    mesh, so dmr supports live in-process resume only. *)
 
 val galois :
   ?config:config ->
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

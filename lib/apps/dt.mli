@@ -1,12 +1,10 @@
 (** Delaunay triangulation by parallel incremental insertion
     (Bowyer–Watson cavities; paper §4.1). *)
 
-type state
-(** Internal per-run state (mesh + point containers). *)
+val plan : Geometry.Point.t array -> (int, Mesh.cavity, Mesh.t) App.plan
+(** {!galois} as a plan (result: the mesh), tagged [app "dt"]. *)
 
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

@@ -7,15 +7,13 @@
     unordered det, soft-priority det at any delta and thread count —
     produces the same array. *)
 
-val plan : Graphlib.Csr.t -> (int * int, unit) Galois.Run.t * int array
-(** The unexecuted {!galois} description plus its estimate array
+val plan : Graphlib.Csr.t -> (int * int, unit, int array) App.plan
+(** The unexecuted {!galois} description plus a reader of its estimates
     (which converges to the coreness), tagged [app "kcore"], with the
     task's push-time estimate as its {!Galois.Run.priority} and a
     [Run.snapshot_state] hook over the estimates. *)
 
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

@@ -1,8 +1,9 @@
 (** Maximal independent set (paper §4.1). The graph must be symmetric. *)
 
+val plan : Graphlib.Csr.t -> (int, unit, bool array) App.plan
+(** {!galois} as a plan (result: membership), tagged [app "mis"]. *)
+
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

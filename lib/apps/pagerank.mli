@@ -10,10 +10,11 @@ type config = { damping : int; tolerance : int }
 
 val default_config : config
 
+val plan : ?config:config -> Graphlib.Csr.t -> (int, unit, float array) App.plan
+(** {!galois} as a plan (result: the ranks), tagged [app "pagerank"]. *)
+
 val galois :
   ?config:config ->
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

@@ -3,18 +3,12 @@
 val unreached : int
 
 val plan :
-  Graphlib.Csr.t ->
-  int array ->
-  source:int ->
-  ((int * int), unit) Galois.Run.t * int array
-(** The unexecuted {!galois} description plus its distance array,
+  Graphlib.Csr.t -> int array -> source:int -> (int * int, unit, int array) App.plan
+(** The unexecuted {!galois} description plus its distance reader,
     tagged [app "sssp"] with a [Run.snapshot_state] hook — see
     {!Bfs.plan}. *)
 
-val plan_weighted :
-  Graphlib.Csr.t ->
-  source:int ->
-  ((int * int), unit) Galois.Run.t * int array
+val plan_weighted : Graphlib.Csr.t -> source:int -> (int * int, unit, int array) App.plan
 (** Like {!plan}, but weights come from the graph's own off-heap weight
     plane ({!Graphlib.Csr.weight}) — no heap-side weight array. Raises
     [Invalid_argument] on an unweighted graph. The schedule depends
@@ -22,8 +16,6 @@ val plan_weighted :
     byte-identical to the array path. *)
 
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
@@ -36,8 +28,6 @@ val galois :
     [Invalid_argument] on weight-array size mismatch. *)
 
 val galois_weighted :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

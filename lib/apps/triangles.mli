@@ -5,9 +5,10 @@
 val count_at : Graphlib.Csr.t -> int -> int
 (** Triangles whose minimum vertex is [u]. *)
 
+val plan : Graphlib.Csr.t -> (int, unit, int) App.plan
+(** {!galois} as a plan (result: the total), tagged [app "triangles"]. *)
+
 val galois :
-  ?record:bool ->
-  ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->

@@ -10,9 +10,7 @@
           |> record
           |> sink (Obs.Jsonl.file "run.jsonl")
           |> exec)
-    ]}
-
-    {!Runtime.for_each} remains as a thin alias for the common cases. *)
+    ]} *)
 
 type ('item, 'state) operator = ('item, 'state) Context.t -> 'item -> unit
 

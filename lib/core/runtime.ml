@@ -1,23 +1,6 @@
-(* Thin compatibility facade over [Run], the builder-style entry point.
-
-   [for_each] predates the builder and remains the convenient call for
-   the common cases; it simply assembles a [Run.t] and executes it. *)
-
-type ('item, 'state) operator = ('item, 'state) Run.operator
-
 type report = Run.report = {
   stats : Stats.t;
   schedule : Schedule.t option;
   trace : Obs.stamped list option;
   audit : Audit.report option;
 }
-
-let for_each ?(policy = Policy.Serial) ?pool ?(record = false) ?static_id ?sink ~operator
-    items =
-  Run.make ~operator items
-  |> Run.policy policy
-  |> Run.opt Run.pool pool
-  |> (if record then Run.record else Fun.id)
-  |> Run.opt Run.static_id static_id
-  |> Run.opt Run.sink sink
-  |> Run.exec

@@ -1,27 +1,6 @@
-(** Convenience runtime entry point: execute an unordered Galois task
-    pool under a chosen policy.
-
-    This is a thin, stable alias over the {!Run} builder — the two are
-    interchangeable; use {!Run} when a run carries more configuration
-    (multiple sinks, trace capture) than reads well as optional
-    arguments.
-
-    {[
-      let report =
-        Galois.Runtime.for_each
-          ~policy:(Galois.Policy.det 8)   (* or [nondet 8], or [serial] *)
-          ~operator:(fun ctx node ->
-            Galois.Context.acquire ctx (lock_of node);
-            (* ... read neighborhood ... *)
-            Galois.Context.failsafe ctx;
-            (* ... write, push new tasks ... *))
-          initial_tasks
-    ]} *)
-
-type ('item, 'state) operator = ('item, 'state) Run.operator
-(** An operator executes one task: acquire the neighborhood, declare the
-    failsafe point, then mutate. ['state] is the continuation-state type
-    ([unit] if unused). *)
+(** {!Run.report} under its older name, which the apps' [galois]
+    wrappers and their callers use. Runs are built and executed with
+    {!Run}. *)
 
 type report = Run.report = {
   stats : Stats.t;
@@ -29,26 +8,3 @@ type report = Run.report = {
   trace : Obs.stamped list option;
   audit : Audit.report option;
 }
-
-val for_each :
-  ?policy:Policy.t ->
-  ?pool:Pool.t ->
-  ?record:bool ->
-  ?static_id:('item -> int) ->
-  ?sink:Obs.sink ->
-  operator:('item, 'state) operator ->
-  'item array ->
-  report
-[@@deprecated "use the Galois.Run builder (Run.make ... |> Run.exec)"]
-(** Run all tasks (and the tasks they create) to completion. Equivalent
-    to [Run.make ~operator items |> Run.policy ... |> Run.exec].
-
-    @param policy execution policy; default {!Policy.Serial}.
-    @param pool reuse an existing domain pool (must be at least as large
-      as the policy's thread count); otherwise a temporary pool is
-      created.
-    @param record capture a {!Schedule.t} for the simulators.
-    @param static_id deterministic-scheduler fast path for fixed task
-      universes (§3.3); ignored by other policies.
-    @param sink stream observability events into an {!Obs.sink}; the
-      sink is not closed (see {!Run.sink}). *)

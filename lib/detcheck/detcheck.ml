@@ -52,15 +52,29 @@ type run_result = {
 type case = {
   name : string;
   static_id_capable : bool;
-      (* true iff running the case with [Runtime.for_each ~static_id]
-         preserves its semantics (task keys are unique, so duplicate
-         collapsing is a no-op) *)
+      (* true iff running the case with [Run.static_id] preserves its
+         semantics (task keys are unique, so duplicate collapsing is a
+         no-op) *)
   run :
     policy:Galois.Policy.t ->
     pool:Galois.Pool.t ->
     static_id:bool ->
     run_result;
 }
+
+(* Execute [run] with its event stream captured and summarize it. *)
+let observe ~policy ~pool run ~output ~canonical =
+  let report =
+    run |> Galois.Run.policy policy |> Galois.Run.pool pool |> Galois.Run.trace
+    |> Galois.Run.exec
+  in
+  {
+    sched_digest = report.stats.digest;
+    output_digest = output ();
+    canonical_digest = canonical ~commits:report.stats.commits;
+    commits = report.stats.commits;
+    det_trace = Obs.deterministic_lines (Option.value ~default:[] report.trace);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The configuration lattice                                           *)
@@ -417,20 +431,8 @@ module Gen = struct
   let case_of_params p =
     let run ~policy ~pool ~static_id =
       let inst = instance ~static_id p in
-      let report =
-        inst.run
-        |> Galois.Run.policy policy
-        |> Galois.Run.pool pool
-        |> Galois.Run.trace
-        |> Galois.Run.exec
-      in
-      {
-        sched_digest = report.stats.digest;
-        output_digest = inst.output_digest ();
-        canonical_digest = inst.canonical_digest ~commits:report.stats.commits;
-        commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Option.value ~default:[] report.trace);
-      }
+      observe ~policy ~pool inst.run ~output:inst.output_digest
+        ~canonical:inst.canonical_digest
     in
     { name = name_of_params p; static_id_capable = p.unique_children; run }
 
@@ -467,105 +469,13 @@ let prio_salt_distinguished ?(threads = 2) ~seed () =
 (* ------------------------------------------------------------------ *)
 
 module App_cases = struct
-  let digest_ints arr = Array.fold_left D.fold_int D.seed arr
-
-  (* BFS distances are the unique shortest hop counts: canonical across
-     the whole lattice. *)
-  let bfs ~n ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    let run ~policy ~pool ~static_id:_ =
-      let mem = Obs.Memory.create () in
-      let dist, report = Apps.Bfs.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool g ~source:0 in
-      let d = digest_ints dist in
-      {
-        sched_digest = report.stats.digest;
-        output_digest = d;
-        canonical_digest = d;
-        commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
-      }
+  let case (e : Apps.Suite.t) ~size ~seed =
+    let (Apps.Suite.Input input) = e.load ~size ~seed in
+    let run ~policy ~pool ~static_id =
+      let w = input.fresh ~static_id in
+      observe ~policy ~pool w.run ~output:w.output ~canonical:(fun ~commits:_ -> w.canonical ())
     in
-    { name = Printf.sprintf "bfs(n=%d,seed=%d)" n seed; static_id_capable = false; run }
-
-  let sssp ~n ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    let run ~policy ~pool ~static_id:_ =
-      let mem = Obs.Memory.create () in
-      let dist, report = Apps.Sssp.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool g w ~source:0 in
-      let d = digest_ints dist in
-      {
-        sched_digest = report.stats.digest;
-        output_digest = d;
-        canonical_digest = d;
-        commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
-      }
-    in
-    { name = Printf.sprintf "sssp(n=%d,seed=%d)" n seed; static_id_capable = false; run }
-
-  (* The MSF weight and size are unique; the edge ids are not canonical
-     across configurations (the same undirected edge carries two directed
-     edge ids, and which one represents it depends on contraction order),
-     so only (weight, size) goes into the canonical digest. The full edge
-     list still must be thread-invariant at a fixed configuration. *)
-  let boruvka ~n ~seed =
-    let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n ~k:4 ()) in
-    let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-    let run ~policy ~pool ~static_id:_ =
-      let mem = Obs.Memory.create () in
-      let forest, report =
-        Apps.Boruvka.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool g w
-      in
-      let fold_edges d edges = List.fold_left D.fold_int d edges in
-      let output_digest =
-        D.fold_int (fold_edges D.seed forest.Apps.Boruvka.parent_edge)
-          forest.Apps.Boruvka.total_weight
-      in
-      let canonical_digest =
-        D.fold_int
-          (D.fold_int D.seed (List.length forest.Apps.Boruvka.parent_edge))
-          forest.Apps.Boruvka.total_weight
-      in
-      {
-        sched_digest = report.stats.digest;
-        output_digest;
-        canonical_digest;
-        commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
-      }
-    in
-    { name = Printf.sprintf "boruvka(n=%d,seed=%d)" n seed; static_id_capable = false; run }
-
-  (* Refinement's full output (the refined mesh) is schedule-dependent
-     across configurations — different insertion orders pick different
-     Steiner points — so only the postcondition is canonical. At a fixed
-     configuration the mesh itself must be thread-invariant, compared via
-     its canonical triangle list. *)
-  let dmr ~points ~seed =
-    let pts = Geometry.Point.random_unit_square ~seed points in
-    let run ~policy ~pool ~static_id:_ =
-      let mesh = Apps.Dt.serial pts in
-      let mem = Obs.Memory.create () in
-      let report = Apps.Dmr.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool mesh in
-      let output_digest =
-        List.fold_left
-          (fun d tri ->
-            List.fold_left (fun d (x, y) -> D.fold_float (D.fold_float d x) y) d tri)
-          D.seed (Apps.Dt.canonical mesh)
-      in
-      let consistent = Result.is_ok (Mesh.check_consistency mesh) in
-      let refined = Apps.Dmr.refined Apps.Dmr.default_config mesh in
-      let canonical_digest = D.fold_bool (D.fold_bool D.seed consistent) refined in
-      {
-        sched_digest = report.stats.digest;
-        output_digest;
-        canonical_digest;
-        commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
-      }
-    in
-    { name = Printf.sprintf "dmr(points=%d,seed=%d)" points seed; static_id_capable = false; run }
+    { name = Apps.Suite.case_name e ~size ~seed; static_id_capable = e.static_id_capable; run }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -582,86 +492,33 @@ module Audit_cases = struct
     | Some a -> a
     | None -> invalid_arg "Detcheck.Audit_cases: run produced no audit report"
 
-  (* Every Run-based benchmark under [Galois.Run.audit]. All of them are
-     cautious by construction, so the audit must come back clean; the
-     race check also re-verifies the scheduler's disjoint-neighborhood
-     invariant (acquires count as writes), which bites even though the
-     operators carry no [Context.touch] instrumentation. Worlds that the
-     operator mutates (mesh, flow network) are rebuilt per run. *)
+  (* Every benchmark under [Galois.Run.audit]. All of them are cautious
+     by construction, so the audit must come back clean; the race check
+     also re-verifies the scheduler's disjoint-neighborhood invariant
+     (acquires count as writes), which bites even though the operators
+     carry no [Context.touch] instrumentation. Each run audits a fresh
+     world. *)
   let apps ~n ~points ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    let sym = Graphlib.Csr.symmetrize g in
-    let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    let uw = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 2) sym in
-    let pts = Geometry.Point.random_unit_square ~seed (max 4 points) in
-    let audit_of (report : Galois.Runtime.report) = need report.audit in
-    [
-      {
-        name = "bfs";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Bfs.galois ~audit:true ~policy ~pool g ~source:0)));
-      };
-      {
-        name = "sssp";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Sssp.galois ~audit:true ~policy ~pool g w ~source:0)));
-      };
-      {
-        name = "cc";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Cc.galois ~audit:true ~policy ~pool sym)));
-      };
-      {
-        name = "boruvka";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Boruvka.galois ~audit:true ~policy ~pool sym uw)));
-      };
-      {
-        name = "mis";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Mis.galois ~audit:true ~policy ~pool sym)));
-      };
-      {
-        name = "triangles";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Triangles.galois ~audit:true ~policy ~pool sym)));
-      };
-      {
-        name = "pagerank";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Pagerank.galois ~audit:true ~policy ~pool g)));
-      };
-      {
-        name = "dt";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Dt.galois ~audit:true ~policy ~pool pts)));
-      };
-      {
-        name = "dmr";
-        run =
-          (fun ~policy ~pool ->
-            let mesh = Apps.Dt.serial pts in
-            audit_of (Apps.Dmr.galois ~audit:true ~policy ~pool mesh));
-      };
-      {
-        name = "pfp";
-        run =
-          (fun ~policy ~pool ->
-            let fg, caps, source, sink =
-              Graphlib.Generators.flow_network ~seed:(seed + 3) ~n ~k:4 ()
-            in
-            let net = Apps.Flow_network.of_graph fg caps ~source ~sink in
-            need (Apps.Pfp.galois ~audit:true ~policy ~pool net).Apps.Pfp.audit);
-      };
-    ]
+    let audit_of (report : Galois.Run.report) = need report.audit in
+    List.map
+      (fun (e : Apps.Suite.t) ->
+        let (Apps.Suite.Input input) = e.load ~size:(if e.points then points else n) ~seed in
+        let run ~policy ~pool =
+          (input.fresh ~static_id:false).run
+          |> Galois.Run.policy policy |> Galois.Run.pool pool |> Galois.Run.audit
+          |> Galois.Run.exec |> audit_of
+        in
+        { name = e.name; run })
+      Apps.Suite.all
+    @ [
+        {
+          name = "pfp";
+          run =
+            (fun ~policy ~pool ->
+              let net = Apps.Suite.pfp_input ~size:n ~seed in
+              need (Apps.Pfp.galois ~audit:true ~policy ~pool net).audit);
+        };
+      ]
 
   (* Positive controls: deliberately broken operators proving the audit
      can fail at all, with findings localized to (rule, round, task). *)
@@ -784,96 +641,30 @@ module Replay_cases = struct
   type t =
     | Case : {
         name : string;
-        static_id_capable : bool;
-        snapshot_capable : bool;
-            (* the description carries a snapshot_state hook, so
-               serialized (cross-process) resume is possible; without it
-               only live in-process resume is *)
-        fresh : static_id:bool -> unit -> ('i, 's) Galois.Run.t * (unit -> D.t);
+        fresh : unit -> ('i, 's) Galois.Run.t * (unit -> D.t);
       }
         -> t
-
-  let name (Case c) = c.name
-  let static_id_capable (Case c) = c.static_id_capable
-  let snapshot_capable (Case c) = c.snapshot_capable
 
   let gen ~seed =
     let p = Gen.random_params ~seed in
     Case
       {
         name = Gen.name_of_params p;
-        static_id_capable = p.Gen.unique_children;
-        snapshot_capable = true;
         fresh =
-          (fun ~static_id () ->
-            let inst = Gen.instance ~static_id p in
+          (fun () ->
+            let inst = Gen.instance p in
             (inst.Gen.run, inst.Gen.output_digest));
       }
 
-  let digest_ints arr = Array.fold_left D.fold_int D.seed arr
-
-  let bfs ~n ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
+  let app (e : Apps.Suite.t) ~size ~seed =
+    let (Apps.Suite.Input input) = e.load ~size ~seed in
     Case
       {
-        name = Printf.sprintf "bfs(n=%d,seed=%d)" n seed;
-        static_id_capable = false;
-        snapshot_capable = true;
+        name = Apps.Suite.case_name e ~size ~seed;
         fresh =
-          (fun ~static_id:_ () ->
-            let run, dist = Apps.Bfs.plan g ~source:0 in
-            (run, fun () -> digest_ints dist));
-      }
-
-  let sssp ~n ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    Case
-      {
-        name = Printf.sprintf "sssp(n=%d,seed=%d)" n seed;
-        static_id_capable = false;
-        snapshot_capable = true;
-        fresh =
-          (fun ~static_id:_ () ->
-            let run, dist = Apps.Sssp.plan g w ~source:0 in
-            (run, fun () -> digest_ints dist));
-      }
-
-  let boruvka ~n ~seed =
-    let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n ~k:4 ()) in
-    let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-    Case
-      {
-        name = Printf.sprintf "boruvka(n=%d,seed=%d)" n seed;
-        static_id_capable = false;
-        snapshot_capable = false;
-        fresh =
-          (fun ~static_id:_ () ->
-            let run, forest = Apps.Boruvka.plan g w in
-            ( run,
-              fun () ->
-                let f = forest () in
-                D.fold_int
-                  (List.fold_left D.fold_int D.seed f.Apps.Boruvka.parent_edge)
-                  f.Apps.Boruvka.total_weight ));
-      }
-
-  let dmr ~points ~seed =
-    let pts = Geometry.Point.random_unit_square ~seed points in
-    Case
-      {
-        name = Printf.sprintf "dmr(points=%d,seed=%d)" points seed;
-        static_id_capable = false;
-        snapshot_capable = false;
-        fresh =
-          (fun ~static_id:_ () ->
-            let mesh = Apps.Dt.serial pts in
-            ( Apps.Dmr.plan mesh,
-              fun () ->
-                List.fold_left
-                  (fun d tri ->
-                    List.fold_left (fun d (x, y) -> D.fold_float (D.fold_float d x) y) d tri)
-                  D.seed (Apps.Dt.canonical mesh) ));
+          (fun () ->
+            let w = input.fresh ~static_id:false in
+            (w.run, w.output));
       }
 end
 

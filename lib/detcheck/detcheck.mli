@@ -38,8 +38,9 @@ type run_result = {
 type case = {
   name : string;
   static_id_capable : bool;
-      (** whether running under [~static_id] preserves the case's
-          semantics (task keys unique, duplicate collapsing a no-op) *)
+      (** whether running under [~static_id] ({!Galois.Run.static_id})
+          preserves the case's semantics (task keys unique, duplicate
+          collapsing a no-op) *)
   run :
     policy:Galois.Policy.t ->
     pool:Galois.Pool.t ->
@@ -158,19 +159,13 @@ module Gen : sig
   (** [case_of_params (random_params ~seed)]. *)
 end
 
-(** The paper's benchmarks as auditable cases. Inputs are generated once
-    at case construction; each [run] re-executes from a fresh state. *)
+(** The paper's benchmarks as auditable cases, one per {!Apps.Suite}
+    entry. The input is built once at case construction; each [run]
+    executes a fresh world over it. *)
 module App_cases : sig
-  val bfs : n:int -> seed:int -> case
-  val sssp : n:int -> seed:int -> case
-  val boruvka : n:int -> seed:int -> case
-
-  val dmr : points:int -> seed:int -> case
-  (** Canonical digest is the refinement postcondition (mesh consistent
-      and fully refined): the refined mesh itself is legitimately
-      configuration-dependent, but must be thread-invariant at any fixed
-      configuration (its canonical triangle list is the output
-      digest). *)
+  val case : Apps.Suite.t -> size:int -> seed:int -> case
+  (** Named {!Apps.Suite.case_name}; output and canonical digests are
+      the entry's. *)
 end
 
 (** Cases for the dynamic neighborhood/race audit ({!Galois.Run.audit}).
@@ -189,9 +184,8 @@ module Audit_cases : sig
   }
 
   val apps : n:int -> points:int -> seed:int -> t list
-  (** The ten Run-based benchmarks (bfs, sssp, cc, boruvka, mis,
-      triangles, pagerank, dt, dmr, pfp), worlds rebuilt per run where
-      the operator mutates them. *)
+  (** Every {!Apps.Suite} entry (sized [points] for point inputs, [n]
+      otherwise), then pfp; each run audits a fresh world. *)
 
   type control = {
     cname : string;
@@ -224,27 +218,16 @@ module Replay_cases : sig
   type t =
     | Case : {
         name : string;
-        static_id_capable : bool;
-        snapshot_capable : bool;
-            (** carries a snapshot-state hook: serialized cross-process
-                resume works, not just live in-process resume *)
-        fresh :
-          static_id:bool ->
-          unit ->
-          ('i, 's) Galois.Run.t * (unit -> Galois.Trace_digest.t);
+        fresh : unit -> ('i, 's) Galois.Run.t * (unit -> Galois.Trace_digest.t);
             (** a fresh world's description plus an output digest read
                 off that world (call after executing) *)
       }
         -> t
 
-  val name : t -> string
-  val static_id_capable : t -> bool
-  val snapshot_capable : t -> bool
   val gen : seed:int -> t
-  val bfs : n:int -> seed:int -> t
-  val sssp : n:int -> seed:int -> t
-  val boruvka : n:int -> seed:int -> t
-  val dmr : points:int -> seed:int -> t
+
+  val app : Apps.Suite.t -> size:int -> seed:int -> t
+  (** The entry's worlds and output digest. *)
 end
 
 (** The service lattice: determinism at the service boundary. An

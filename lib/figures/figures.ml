@@ -508,22 +508,14 @@ let ablation t =
   let m = Machine.m4x10 in
   let tmax = max_threads_of m in
   Galois.Pool.with_pool ~domains:Dataset.run_threads (fun pool ->
-      let bfs_graph =
-        Graphlib.Generators.kout ~seed:scale.Scale.seed ~n:scale.Scale.bfs_nodes
-          ~k:scale.Scale.bfs_degree ()
-      in
-      let dmr_mesh () =
-        Apps.Dt.serial (Geometry.Point.random_unit_square ~seed:(scale.Scale.seed + 3)
-                          scale.Scale.dmr_points)
-      in
+      let bfs_graph = Dataset.bfs_graph scale in
       let run_bfs options =
         let policy = Galois.Policy.det Dataset.run_threads ~options in
-        let _, report = Apps.Bfs.galois ~record:true ~policy ~pool bfs_graph ~source:0 in
-        report
+        Dataset.recorded ~policy ~pool (Apps.Bfs.plan bfs_graph ~source:0)
       in
       let run_dmr options =
         let policy = Galois.Policy.det Dataset.run_threads ~options in
-        Apps.Dmr.galois ~record:true ~policy ~pool (dmr_mesh ())
+        Dataset.recorded ~policy ~pool (Apps.Dmr.plan (Dataset.dmr_mesh scale))
       in
       let row name (report : Galois.Runtime.report) =
         let time =
@@ -555,11 +547,7 @@ let ablation t =
       (* Static-id fast path (pfp): compare epochs/rounds with and
          without it by rerunning pfp without static ids. *)
       let pfp_rows =
-        let g, caps, source, sink =
-          Graphlib.Generators.flow_network ~seed:(scale.Scale.seed + 4) ~n:scale.Scale.pfp_nodes
-            ~k:scale.Scale.pfp_degree ()
-        in
-        let net = Apps.Flow_network.of_graph g caps ~source ~sink in
+        let net = Dataset.pfp_network scale in
         let result =
           Apps.Pfp.galois ~record:true ~policy:(Galois.Policy.det Dataset.run_threads) ~pool net
         in
@@ -676,10 +664,7 @@ let phase_breakdown (events : Obs.stamped list) =
 let obs_phases t =
   let scale = t.data.Dataset.scale in
   Galois.Pool.with_pool ~domains:Dataset.run_threads (fun pool ->
-      let g =
-        Graphlib.Generators.kout ~seed:scale.Scale.seed ~n:scale.Scale.bfs_nodes
-          ~k:scale.Scale.bfs_degree ()
-      in
+      let g = Dataset.bfs_graph scale in
       let mem = Obs.Memory.create () in
       let _, _report =
         Apps.Bfs.galois ~sink:(Obs.Memory.sink mem)

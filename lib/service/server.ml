@@ -156,52 +156,34 @@ let run_query t ~sink (q : Query.t) =
             rounds = report.stats.rounds;
           }
       in
+      let exec plan = Apps.App.exec ~policy ~pool:t.pool ~sink plan in
+      (* bfs and sssp distances (both apps mark unreached nodes alike). *)
+      let distances (dist, report) =
+        let reached =
+          Array.fold_left (fun acc d -> if d = Apps.Bfs.unreached then acc else acc + 1) 0 dist
+        in
+        done_ ~summary:(Printf.sprintf "reached=%d" reached) ~output_digest:(digest_ints dist)
+          report
+      in
       match q with
-      | Query.Bfs { source; _ } ->
-          if source < 0 || source >= n then Failed { reason = "source-out-of-range" }
-          else
-            let dist, report =
-              Apps.Bfs.galois ~policy ~pool:t.pool ~sink g ~source
-            in
-            let reached =
-              Array.fold_left
-                (fun acc d -> if d = Apps.Bfs.unreached then acc else acc + 1)
-                0 dist
-            in
-            done_
-              ~summary:(Printf.sprintf "reached=%d" reached)
-              ~output_digest:(digest_ints dist) report
+      | (Query.Bfs { source; _ } | Query.Sssp { source; _ }) when source < 0 || source >= n ->
+          Failed { reason = "source-out-of-range" }
+      | Query.Bfs { source; _ } -> distances (exec (Apps.Bfs.plan g ~source))
       | Query.Sssp { source; _ } -> (
-          if source < 0 || source >= n then Failed { reason = "source-out-of-range" }
-          else
-            (* Weights come from a catalog-side array or the graph's own
-               off-heap weight plane (disk-loaded entries); the schedule
-               depends on the values only, so the two sources answer
-               identically. *)
-            let run =
-              match entry.Catalog.weights with
-              | Some w -> Some (fun () -> Apps.Sssp.galois ~policy ~pool:t.pool ~sink g w ~source)
-              | None when Graphlib.Csr.weighted g ->
-                  Some (fun () -> Apps.Sssp.galois_weighted ~policy ~pool:t.pool ~sink g ~source)
-              | None -> None
-            in
-            match run with
-            | None -> Failed { reason = "graph-has-no-weights" }
-            | Some run ->
-                let dist, report = run () in
-                let reached =
-                  Array.fold_left
-                    (fun acc d -> if d = Apps.Sssp.unreached then acc else acc + 1)
-                    0 dist
-                in
-                done_
-                  ~summary:(Printf.sprintf "reached=%d" reached)
-                  ~output_digest:(digest_ints dist) report)
+          (* Weights come from a catalog-side array or the graph's own
+             off-heap weight plane (disk-loaded entries); the schedule
+             depends on the values only, so the two sources answer
+             identically. *)
+          match entry.Catalog.weights with
+          | Some w -> distances (exec (Apps.Sssp.plan g w ~source))
+          | None when Graphlib.Csr.weighted g ->
+              distances (exec (Apps.Sssp.plan_weighted g ~source))
+          | None -> Failed { reason = "graph-has-no-weights" })
       | Query.Cc _ ->
           if not entry.Catalog.symmetric then
             Failed { reason = "graph-not-symmetric" }
           else
-            let labels, report = Apps.Cc.galois ~policy ~pool:t.pool ~sink g in
+            let labels, report = exec (Apps.Cc.plan g) in
             done_
               ~summary:
                 (Printf.sprintf "components=%d" (Apps.Cc.count_components labels))

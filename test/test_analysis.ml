@@ -55,6 +55,20 @@ let test_formatters () =
   Alcotest.(check string) "xf" "2.40X" (Analysis.Table.xf 2.4);
   Alcotest.(check string) "i" "42" (Analysis.Table.i 42)
 
+let test_delta_small_values () =
+  let d =
+    { Analysis.Bench_record.metric = "p99_latency_s"; baseline = 0.012; current = 0.018;
+      change_pct = 50.0 }
+  in
+  let line = Fmt.str "%a" Analysis.Bench_record.pp_delta d in
+  let has sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length line && (String.sub line i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) ("baseline shown in " ^ line) true (has " 0.012 ");
+  Alcotest.(check bool) ("current shown in " ^ line) true (has " 0.018 ")
+
 (* Property: median is invariant under permutation and lies within
    min..max. *)
 let prop_median_bounds =
@@ -74,5 +88,6 @@ let suite =
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
     Alcotest.test_case "table validation" `Quick test_table_validation;
     Alcotest.test_case "cell formatters" `Quick test_formatters;
+    Alcotest.test_case "bench delta keeps small values" `Quick test_delta_small_values;
     QCheck_alcotest.to_alcotest prop_median_bounds;
   ]

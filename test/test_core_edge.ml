@@ -1,7 +1,6 @@
 (* Edge cases of the core runtime: empty pools, single tasks, scheduler
    option matrices, pool handling, stats algebra, schedule accessors. *)
 
-[@@@alert "-deprecated"] (* exercises the deprecated [Runtime.for_each] alias on purpose *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -19,7 +18,9 @@ let noop_operator ctx () = Galois.Context.failsafe ctx
 let test_empty_pool () =
   List.iter
     (fun (name, policy) ->
-      let report = Galois.Runtime.for_each ~policy ~operator:noop_operator [||] in
+      let report =
+        Galois.Run.make ~operator:noop_operator [||] |> Galois.Run.policy policy |> Galois.Run.exec
+      in
       check_int (name ^ " commits") 0 report.stats.commits;
       check_int (name ^ " aborts") 0 report.stats.aborts)
     all_policies
@@ -32,7 +33,9 @@ let test_single_task () =
         Galois.Context.failsafe ctx;
         incr hit
       in
-      let report = Galois.Runtime.for_each ~policy ~operator [| () |] in
+      let report =
+        Galois.Run.make ~operator [| () |] |> Galois.Run.policy policy |> Galois.Run.exec
+      in
       check_int (name ^ " ran once") 1 !hit;
       check_int (name ^ " commits") 1 report.stats.commits)
     all_policies
@@ -44,7 +47,9 @@ let test_task_without_failsafe () =
     (fun (name, policy) ->
       let l = Galois.Lock.create () in
       let operator ctx () = Galois.Context.acquire ctx l in
-      let report = Galois.Runtime.for_each ~policy ~operator [| (); (); () |] in
+      let report =
+        Galois.Run.make ~operator [| (); (); () |] |> Galois.Run.policy policy |> Galois.Run.exec
+      in
       check_int (name ^ " pure tasks commit") 3 report.stats.commits)
     all_policies
 
@@ -57,7 +62,9 @@ let bucket_run ~options threads n k =
     cells.(i mod k) := i :: !(cells.(i mod k))
   in
   let policy = Galois.Policy.det threads ~options in
-  let report = Galois.Runtime.for_each ~policy ~operator (Array.init n Fun.id) in
+  let report =
+    Galois.Run.make ~operator (Array.init n Fun.id) |> Galois.Run.policy policy |> Galois.Run.exec
+  in
   (Array.map (fun c -> List.rev !c) cells, report)
 
 let det_option_matrix =
@@ -110,8 +117,9 @@ let test_runtime_rejects_small_pool () =
       Alcotest.check_raises "pool too small"
         (Invalid_argument "Galois.Run: pool smaller than policy thread count") (fun () ->
           ignore
-            (Galois.Runtime.for_each ~policy:(Galois.Policy.nondet 4) ~pool
-               ~operator:noop_operator [| () |])))
+            (Galois.Run.make ~operator:noop_operator [| () |]
+            |> Galois.Run.policy (Galois.Policy.nondet 4)
+            |> Galois.Run.pool pool |> Galois.Run.exec)))
 
 let test_policy_threads_and_determinism () =
   check_int "serial threads" 1 (Galois.Policy.threads Galois.Policy.serial);
@@ -131,8 +139,8 @@ let test_stats_algebra () =
     Galois.Context.failsafe ctx;
     ignore i
   in
-  let a = (Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator (Array.init 5 Fun.id)).stats in
-  let b = (Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator (Array.init 7 Fun.id)).stats in
+  let run n = (Galois.Run.make ~operator (Array.init n Fun.id) |> Galois.Run.exec).stats in
+  let a = run 5 and b = run 7 in
   let s = Galois.Stats.add a b in
   check_int "summed commits" 12 s.commits;
   check_int "summed acquires" (a.acquired + b.acquired) s.acquired;
@@ -162,13 +170,13 @@ let test_register_new_semantics () =
     Galois.Context.register_new ctx fresh;
     check_bool "claimed during task" true (Galois.Lock.mark fresh <> 0)
   in
-  let _ = Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator [| () |] in
+  let _ = Galois.Run.make ~operator [| () |] |> Galois.Run.exec in
   check_int "released after task" 0 (Galois.Lock.mark fresh);
   let bad_operator ctx () =
     Galois.Context.failsafe ctx;
     Galois.Context.register_new ctx taken
   in
-  match Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator:bad_operator [| () |] with
+  match Galois.Run.make ~operator:bad_operator [| () |] |> Galois.Run.exec with
   | _ -> Alcotest.fail "non-fresh lock accepted"
   | exception Invalid_argument _ -> ()
 
@@ -180,7 +188,7 @@ let test_push_order_preserved_serial () =
     log := i :: !log;
     if i = 0 then List.iter (fun c -> Galois.Context.push ctx c) [ 10; 20; 30 ]
   in
-  let _ = Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator [| 0; 1 |] in
+  let _ = Galois.Run.make ~operator [| 0; 1 |] |> Galois.Run.exec in
   Alcotest.(check (list int)) "fifo with children appended" [ 0; 1; 10; 20; 30 ]
     (List.rev !log)
 
@@ -201,8 +209,9 @@ let test_det_children_ordering () =
       end
     in
     let _ =
-      Galois.Runtime.for_each ~policy:(Galois.Policy.det threads) ~operator
-        (Array.init 4 (fun i -> (0, i)))
+      Galois.Run.make ~operator (Array.init 4 (fun i -> (0, i)))
+      |> Galois.Run.policy (Galois.Policy.det threads)
+      |> Galois.Run.exec
     in
     List.rev !log
   in

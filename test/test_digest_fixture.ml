@@ -28,10 +28,10 @@ let cases () =
     Detcheck.Gen.case ~seed:2;
     Detcheck.Gen.case ~seed:3;
     Detcheck.Gen.case ~seed:42;
-    Detcheck.App_cases.bfs ~n:300 ~seed:7;
-    Detcheck.App_cases.sssp ~n:300 ~seed:7;
-    Detcheck.App_cases.boruvka ~n:300 ~seed:7;
-    Detcheck.App_cases.dmr ~points:90 ~seed:7;
+    Detcheck.App_cases.case (Apps.Suite.get "bfs") ~size:300 ~seed:7;
+    Detcheck.App_cases.case (Apps.Suite.get "sssp") ~size:300 ~seed:7;
+    Detcheck.App_cases.case (Apps.Suite.get "boruvka") ~size:300 ~seed:7;
+    Detcheck.App_cases.case (Apps.Suite.get "dmr") ~size:90 ~seed:7;
   ]
 
 let observe_configs configs pool =
@@ -262,14 +262,14 @@ let test_resume_reproduces_pinned () =
         | Some d -> d
         | None -> Alcotest.failf "no pinned default entry for %s" c.name
       in
-      let full_run, _ = c.fresh ~static_id:false () in
+      let full_run, _ = c.fresh () in
       let full =
         full_run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec
       in
       if not (D.equal pinned full.Galois.Run.stats.digest) then
         Alcotest.failf "%s: uninterrupted run missed the pinned digest" c.name;
       let at = max 1 (full.Galois.Run.stats.rounds / 2) in
-      let crash_run, _ = c.fresh ~static_id:false () in
+      let crash_run, _ = c.fresh () in
       let crash_run = crash_run |> Galois.Run.policy (Galois.Policy.det 2) in
       let last = ref None in
       let _ =
@@ -292,10 +292,10 @@ let test_resume_reproduces_pinned () =
       Detcheck.Replay_cases.gen ~seed:2;
       Detcheck.Replay_cases.gen ~seed:3;
       Detcheck.Replay_cases.gen ~seed:42;
-      Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
-      Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
-      Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
-      Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "bfs") ~size:300 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "sssp") ~size:300 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "boruvka") ~size:300 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "dmr") ~size:90 ~seed:7;
     ]
 
 let suite =

@@ -22,6 +22,7 @@ let () =
       ("apps", Test_apps.suite);
       ("apps2", Test_apps2.suite);
       ("kcore", Test_kcore.suite);
+      ("suite", Test_suite.suite);
       ("audit", Test_audit.suite);
       ("detlint", Test_detlint.suite);
       ("simmachine", Test_simmachine.suite);

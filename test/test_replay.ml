@@ -43,8 +43,8 @@ let check_reports what (full : Galois.Run.report) (resumed : Galois.Run.report) 
    [resume_policy] if given), and require equal deterministic stats and
    equal output digests. *)
 let audit_case ?resume_policy ~policy ~at (Detcheck.Replay_cases.Case c) =
-  let full_run, full_out = c.fresh ~static_id:false () in
-  let crash_run, crash_out = c.fresh ~static_id:false () in
+  let full_run, full_out = c.fresh () in
+  let crash_run, crash_out = c.fresh () in
   let outcome =
     Replay.crash_resume ?resume_policy ~at
       ~full:(full_run |> Galois.Run.policy policy)
@@ -96,10 +96,10 @@ let test_apps_crash_resume () =
       in
       check_bool "crashed mid-run" true (crash_round >= 1))
     [
-      Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
-      Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
-      Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
-      Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "bfs") ~size:300 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "sssp") ~size:300 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "boruvka") ~size:300 ~seed:7;
+      Detcheck.Replay_cases.app (Apps.Suite.get "dmr") ~size:90 ~seed:7;
     ]
 
 let test_crash_past_end_degrades () =
@@ -120,10 +120,9 @@ let test_crash_past_end_degrades () =
    uninterrupted digest and output. *)
 let test_bytes_resume_fresh_world () =
   let g = Graphlib.Generators.kout ~seed:11 ~n:400 ~k:5 () in
-  let full_run, full_dist = Apps.Bfs.plan g ~source:0 in
-  let full = full_run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec in
-  let crash_run, _ = Apps.Bfs.plan g ~source:0 in
-  let crash_run = crash_run |> Galois.Run.policy (Galois.Policy.det 2) in
+  let full_plan = Apps.Bfs.plan g ~source:0 in
+  let full = full_plan.run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec in
+  let crash_run = (Apps.Bfs.plan g ~source:0).run |> Galois.Run.policy (Galois.Policy.det 2) in
   let bytes = ref None in
   let at = max 1 (full.stats.rounds / 2) in
   let _ =
@@ -135,29 +134,29 @@ let test_bytes_resume_fresh_world () =
   in
   let bytes = match !bytes with Some b -> b | None -> Alcotest.fail "no snapshot taken" in
   (* Fresh world: new run description over a new dist array. *)
-  let fresh_run, fresh_dist = Apps.Bfs.plan g ~source:0 in
+  let fresh_plan = Apps.Bfs.plan g ~source:0 in
   let resumed =
-    fresh_run
+    fresh_plan.run
     |> Galois.Run.policy (Galois.Policy.det 4)
     |> Galois.Run.resume_from_bytes bytes
     |> Galois.Run.exec
   in
   check_reports "bytes resume" full resumed;
-  check_bool "dist restored and completed" true (full_dist = fresh_dist)
+  check_bool "dist restored and completed" true (full_plan.result () = fresh_plan.result ())
 
 let test_checkpoint_file_roundtrip () =
   (* checkpoint_to writes a loadable file whose decoded snapshot resumes
      (via resume_from) to the uninterrupted digest. *)
   let g = Graphlib.Generators.kout ~seed:13 ~n:400 ~k:5 () in
-  let full_run, _ = Apps.Bfs.plan g ~source:0 in
-  let full = full_run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec in
+  let full =
+    (Apps.Bfs.plan g ~source:0).run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec
+  in
   let path = Filename.temp_file "galois_replay" ".snap" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let crash_run, _ = Apps.Bfs.plan g ~source:0 in
       let _ =
-        crash_run
+        (Apps.Bfs.plan g ~source:0).run
         |> Galois.Run.policy (Galois.Policy.det 2)
         |> Galois.Run.checkpoint_every 2
         |> Galois.Run.checkpoint_to path
@@ -170,9 +169,8 @@ let test_checkpoint_file_roundtrip () =
           Alcotest.(check string) "app tag" "bfs" snap.Snapshot.app;
           check_bool "carries state" true (Option.is_some snap.Snapshot.state)
       | Error e -> Alcotest.failf "load: %s" (Snapshot.error_to_string e));
-      let fresh_run, _ = Apps.Bfs.plan g ~source:0 in
       let resumed =
-        fresh_run
+        (Apps.Bfs.plan g ~source:0).run
         |> Galois.Run.policy (Galois.Policy.det 2)
         |> Galois.Run.resume_from path
         |> Galois.Run.exec

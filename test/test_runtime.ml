@@ -1,6 +1,5 @@
 (* End-to-end tests of the runtime on small synthetic Galois programs. *)
 
-[@@@alert "-deprecated"] (* keeps covering the deprecated [Runtime.for_each] alias alongside [Run] *)
 let check_int = Alcotest.(check int)
 
 (* --- Bucket-append program: n tasks, task i appends i to bucket
@@ -20,9 +19,8 @@ let bucket_operator b k ctx i =
 let run_buckets policy n k =
   let b = make_buckets k in
   let report =
-    Galois.Runtime.for_each ~policy
-      ~operator:(bucket_operator b k)
-      (Array.init n (fun i -> i))
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n (fun i -> i))
+    |> Galois.Run.policy policy |> Galois.Run.exec
   in
   (b, report)
 
@@ -82,7 +80,8 @@ let test_task_creation policy () =
   let lock = Galois.Lock.create () in
   let counter = ref 0 in
   let report =
-    Galois.Runtime.for_each ~policy ~operator:(tree_operator lock counter) [| depth |]
+    Galois.Run.make ~operator:(tree_operator lock counter) [| depth |]
+    |> Galois.Run.policy policy |> Galois.Run.exec
   in
   let expected = (1 lsl (depth + 1)) - 1 in
   check_int "tree size" expected !counter;
@@ -98,7 +97,7 @@ let test_not_cautious_detected () =
     Galois.Context.failsafe ctx;
     Galois.Context.acquire ctx l2
   in
-  match Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator [| () |] with
+  match Galois.Run.make ~operator [| () |] |> Galois.Run.exec with
   | _ -> Alcotest.fail "expected Not_cautious"
   | exception Galois.Context.Not_cautious -> ()
 
@@ -130,7 +129,9 @@ let test_continuation_state_reused () =
     Galois.Policy.det 2
       ~options:{ Galois.Policy.default_det with continuation = true }
   in
-  let report = Galois.Runtime.for_each ~policy ~operator (Array.init n Fun.id) in
+  let report =
+    Galois.Run.make ~operator (Array.init n Fun.id) |> Galois.Run.policy policy |> Galois.Run.exec
+  in
   check_int "commits" n report.stats.commits;
   (* Disjoint neighborhoods: every task commits in its first round, and
      every commit reuses the state saved at inspection. *)
@@ -145,7 +146,8 @@ let test_continuation_does_not_change_output () =
       Galois.Policy.det 3 ~options:{ Galois.Policy.default_det with continuation }
     in
     let _ =
-      Galois.Runtime.for_each ~policy ~operator:(bucket_operator b k) (Array.init n Fun.id)
+      Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+      |> Galois.Run.policy policy |> Galois.Run.exec
     in
     Array.map (fun c -> !c) b.cells
   in
@@ -163,7 +165,8 @@ let test_validate_mode () =
     Galois.Policy.det 4 ~options:{ Galois.Policy.default_det with validate = true }
   in
   let report =
-    Galois.Runtime.for_each ~policy ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy policy |> Galois.Run.exec
   in
   check_int "commits under validation" n report.stats.commits
 
@@ -182,7 +185,8 @@ let test_static_id_dedup () =
   in
   let policy = Galois.Policy.det 2 in
   let report =
-    Galois.Runtime.for_each ~policy ~static_id:Fun.id ~operator (Array.init 10 Fun.id)
+    Galois.Run.make ~operator (Array.init 10 Fun.id)
+    |> Galois.Run.policy policy |> Galois.Run.static_id Fun.id |> Galois.Run.exec
   in
   check_int "initial + one deduplicated child" 11 !executions;
   check_int "task 100 ran once" 1 !dup_executions;
@@ -194,9 +198,9 @@ let test_recording () =
   let k = 4 and n = 50 in
   let b = make_buckets k in
   let report =
-    Galois.Runtime.for_each ~policy:(Galois.Policy.det 2) ~record:true
-      ~operator:(bucket_operator b k)
-      (Array.init n Fun.id)
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.record |> Galois.Run.exec
   in
   match report.schedule with
   | Some (Galois.Schedule.Rounds rounds) ->
@@ -209,9 +213,9 @@ let test_recording_nondet () =
   let k = 4 and n = 50 in
   let b = make_buckets k in
   let report =
-    Galois.Runtime.for_each ~policy:(Galois.Policy.nondet 2) ~record:true
-      ~operator:(bucket_operator b k)
-      (Array.init n Fun.id)
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy (Galois.Policy.nondet 2)
+    |> Galois.Run.record |> Galois.Run.exec
   in
   match report.schedule with
   | Some (Galois.Schedule.Flat attempts) ->
@@ -221,26 +225,28 @@ let test_recording_nondet () =
 
 (* --- the Run builder facade and its trace capture. *)
 
-let test_run_builder_equivalent () =
-  (* The builder and the for_each alias run the same program the same
-     way. *)
-  let via_builder =
+let test_run_opt_none_is_identity () =
+  (* Threading absent optional settings through [Run.opt] runs the same
+     program the same way as the bare builder. *)
+  let run extra =
     let b = make_buckets 7 in
     Galois.Run.make ~operator:(bucket_operator b 7) (Array.init 100 Fun.id)
     |> Galois.Run.policy (Galois.Policy.det 2)
-    |> Galois.Run.exec
+    |> extra |> Galois.Run.exec
   in
-  let via_alias =
-    let b = make_buckets 7 in
-    Galois.Runtime.for_each ~policy:(Galois.Policy.det 2)
-      ~operator:(bucket_operator b 7)
-      (Array.init 100 Fun.id)
+  let bare = run Fun.id in
+  let threaded =
+    run (fun r ->
+        r
+        |> Galois.Run.opt Galois.Run.pool None
+        |> Galois.Run.opt Galois.Run.static_id None
+        |> Galois.Run.opt Galois.Run.sink None)
   in
-  check_int "same commits" via_alias.stats.commits via_builder.stats.commits;
-  check_int "same rounds" via_alias.stats.rounds via_builder.stats.rounds;
+  check_int "same commits" bare.stats.commits threaded.stats.commits;
+  check_int "same rounds" bare.stats.rounds threaded.stats.rounds;
   Alcotest.(check bool)
     "same digest" true
-    (Galois.Trace_digest.equal via_alias.stats.digest via_builder.stats.digest)
+    (Galois.Trace_digest.equal bare.stats.digest threaded.stats.digest)
 
 let test_run_trace_capture () =
   let b = make_buckets 5 in
@@ -377,7 +383,7 @@ let suite =
     Alcotest.test_case "static ids deduplicate pushes" `Quick test_static_id_dedup;
     Alcotest.test_case "det schedule recording" `Quick test_recording;
     Alcotest.test_case "nondet schedule recording" `Quick test_recording_nondet;
-    Alcotest.test_case "Run builder matches for_each" `Quick test_run_builder_equivalent;
+    Alcotest.test_case "Run.opt None is the identity" `Quick test_run_opt_none_is_identity;
     Alcotest.test_case "Run trace capture brackets the run" `Quick test_run_trace_capture;
     Alcotest.test_case "no trace or schedule by default" `Quick test_no_trace_by_default;
     Alcotest.test_case "phase times sum to wall time" `Quick test_phase_times_sum_to_wall_time;

@@ -151,8 +151,10 @@ let test_layout_compact_wins () =
      access stream, narrower footprint. *)
   let g = Graphlib.Generators.kout ~seed:9 ~n:3000 ~k:5 () in
   Galois.Lock.reset_lids ();
-  let _, report =
-    Apps.Bfs.galois ~record:true ~policy:(Galois.Policy.det 2) g ~source:0
+  let report =
+    (Apps.Bfs.plan g ~source:0).run
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.record |> Galois.Run.exec
   in
   match report.Galois.Runtime.schedule with
   | None -> Alcotest.fail "no schedule recorded"
