@@ -196,8 +196,16 @@ let stamp t = t.stamp
 
 (* Internal accessors for schedulers. *)
 
-let neighborhood_array t =
-  Array.init t.neighborhood_size (fun i -> t.neighborhood.(i))
+(* The schedule record of one attempt by a serial or speculative
+   scheduler, which run tasks whole: no inspect work. *)
+let attempt_record t ~committed =
+  {
+    Schedule.acquires = t.neighborhood_size;
+    inspect_work = 0;
+    commit_work = t.work_units;
+    committed;
+    locks = Array.init t.neighborhood_size (fun i -> Lock.id t.neighborhood.(i));
+  }
 
 (* Copy the neighborhood into [prev] when it fits, else into a fresh
    array: a retried task hands its previous round's array back in and

@@ -91,8 +91,9 @@ val reset :
 (** [stamp] is the lock epoch (from {!Lock.new_epoch}) the task's
     acquisitions are made under. *)
 
-val neighborhood_array : (_, _) t -> Lock.t array
-(** Fresh array of the acquired locks, in acquisition order. *)
+val attempt_record : (_, _) t -> committed:bool -> Schedule.task_record
+(** The {!Schedule} record of the attempt just run in [Direct] mode:
+    its neighborhood (lock ids, acquisition order) and work units. *)
 
 val neighborhood_into : (_, _) t -> Lock.t array -> Lock.t array
 (** Copy the acquired locks (acquisition order) into the given array if

@@ -5,7 +5,14 @@
     inspect a window of tasks up to their failsafe points with max-id
     marking, commit the unique resulting independent set, retry the rest.
     The output is a function of the input and the (fixed) scheduling
-    constants only — never of the thread count or timing. *)
+    constants only — never of the thread count or timing.
+
+    Each round runs the same named phases over one state record:
+    [next_generation] (only when the pending deque is empty),
+    [setup_window], [inspect], [select] (selectAndExec) and [end_round]
+    (digest fold, audit, child transfer, compaction, bucket drain,
+    window adaptation); [capture] and [restore] move that state across
+    a round boundary. *)
 
 val spread_permute : int -> 'a array -> 'a array
 (** The §3.3 locality-spread permutation: deal the array into [spread]
@@ -28,8 +35,10 @@ type 'item boundary = {
   b_window : int;  (** the {e next} round's window (already adapted) *)
   b_delta : int;
       (** bucket width of the current soft-priority generation; 0 when
-          unordered. Resume recomputes pending buckets from priorities
-          and this delta. *)
+          it is unordered or drained. Resume recomputes pending buckets
+          from priorities and this delta, so the run table is not
+          stored. *)
+  b_buckets : int;  (** soft-priority runs opened through round [b_rounds] *)
   b_digest : Trace_digest.t;  (** digest prefix through round [b_rounds] *)
   b_pending_ids : int array;  (** task ids, in pending-deque order *)
   b_pending_items : 'item array;
@@ -49,19 +58,19 @@ type 'item boundary = {
     spread permutation means that is {e not} id order), and the current
     generation's undrained child buffer rides along — a mid-generation
     boundary owns children pushed by earlier rounds. The six counter
-    fields are the deterministic subset of the worker counters,
-    cumulative since the original round 1; timing-dependent counters
-    (atomics, chunks, spins, parks) and wall-clock restart from zero on
-    resume. *)
+    fields after the child buffer are the deterministic subset of the
+    worker counters; they and [b_buckets] are cumulative since the
+    original round 1. Timing-dependent counters (atomics, chunks, spins,
+    parks) and wall-clock restart from zero on resume. *)
 
 val run :
-  ?record:bool ->
-  ?sink:Obs.sink ->
+  record:bool ->
+  sink:Obs.sink ->
   ?audit:Audit.t ->
   ?checkpoint:int * ('item boundary -> unit) ->
   ?resume:'item boundary ->
   ?stop_after:int ->
-  ?threads:int ->
+  threads:int ->
   ?priority:('item -> int) ->
   pool:Parallel.Domain_pool.t ->
   options:Policy.det_options ->
@@ -110,10 +119,14 @@ val run :
     [Invalid_argument] if [k < 1].
 
     [resume] restarts from a boundary instead of [items] (which is then
-    ignored): round numbering, id assignment, the adaptive window and
-    the digest continue exactly where the boundary stopped, so a
-    completed resumed run's digest equals the uninterrupted run's — at
-    any thread count. Emits [Obs.Resumed] when tracing.
+    ignored): round numbering, id assignment, the adaptive window, the
+    bucket count and the digest continue exactly where the boundary
+    stopped, so a completed resumed run's digest and deterministic
+    counters equal the uninterrupted run's — at any thread count. Emits
+    [Obs.Resumed] when tracing. Raises [Invalid_argument] before any
+    round runs if the boundary is inconsistent: negative counters or
+    delta, array lengths that disagree, or pending ids that repeat or
+    lie outside the current generation.
 
     [stop_after:r] stops after the first round boundary with
     [rounds >= r] (a no-op if the run finishes earlier) — the replay-to

@@ -10,22 +10,16 @@
    concurrently executing tasks (§2.1), and a worker runs one task at a
    time, releasing all marks in between. *)
 
-let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
-  (* The policy's thread count rules; a larger shared pool just leaves
-     the extra workers idle. *)
-  let threads =
-    match threads with
-    | None -> Parallel.Domain_pool.size pool
-    | Some t -> min t (Parallel.Domain_pool.size pool)
-  in
-  let workers = Array.init threads (fun _ -> Stats.make_worker ()) in
+let run ~record ~sink ~threads ~pool ~operator items =
+  let session = Stats.start ~pool ~threads () in
+  let workers = Stats.workers session in
+  let threads = Array.length workers in
   let records = Array.make threads [] in
   let ws = Workset.create items in
   (* One lock epoch for the whole run: the speculative scheduler really
      releases its marks (rollback needs to), so staleness is not used,
      but stamped claims keep the fast path shared with the DIG rounds. *)
   let stamp = Lock.new_epoch () in
-  let sync0 = Parallel.Domain_pool.sync_counters pool in
   let t0 = Clock.now_s () in
   Parallel.Domain_pool.run pool (fun w ->
       if w >= threads then ()
@@ -34,16 +28,7 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
       let ctx = Context.create () in
       Context.set_stats ctx stats;
       let record_attempt ~committed =
-        if record then
-          records.(w) <-
-            {
-              Schedule.acquires = Context.neighborhood_count ctx;
-              inspect_work = 0;
-              commit_work = Context.work_units ctx;
-              committed;
-              locks = Array.map Lock.id (Context.neighborhood_array ctx);
-            }
-            :: records.(w)
+        if record then records.(w) <- Context.attempt_record ctx ~committed :: records.(w)
       in
       (* Bounded exponential backoff after repeated conflicts: without
          it, a worker spinning against a long-running task burns its
@@ -85,30 +70,7 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
       in
       loop ());
   let time_s = Clock.elapsed_s t0 in
-  let sync1 = Parallel.Domain_pool.sync_counters pool in
-  for w = 0 to threads - 1 do
-    let s0, p0 = sync0.(w) and s1, p1 = sync1.(w) in
-    workers.(w).Stats.spins <- s1 - s0;
-    workers.(w).Stats.parks <- p1 - p0
-  done;
-  (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
-  let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
-  emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  Array.iteri
-    (fun w (st : Stats.worker) ->
-      emit
-        (Obs.Worker_counters
-           { worker = w; committed = st.committed; aborted = st.aborted;
-             acquires = st.acquires; atomics = st.atomic_updates;
-             work = st.work; pushes = st.pushes;
-             inspections = st.inspections; chunks = st.chunks;
-             spins = st.spins; parks = st.parks }))
-    workers;
-  let stats =
-    Stats.merge ~threads ~rounds:0 ~generations:0 ~time_s
-      ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)
-      workers
-  in
+  let stats = Stats.finish ~sink ~time_s session in
   let schedule =
     if record then
       Some (Schedule.Flat (List.concat_map (fun l -> List.rev l) (Array.to_list records)))

@@ -7,9 +7,9 @@
     {!Det_sched}. *)
 
 val run :
-  ?record:bool ->
-  ?sink:Obs.sink ->
-  ?threads:int ->
+  record:bool ->
+  sink:Obs.sink ->
+  threads:int ->
   pool:Parallel.Domain_pool.t ->
   operator:(('item, 'state) Context.t -> 'item -> unit) ->
   'item array ->

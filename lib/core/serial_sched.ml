@@ -6,8 +6,9 @@
    the end: there are no rounds, so the whole run is one Execute
    phase. *)
 
-let run ?(record = false) ?(sink = Obs.null) ~operator items =
-  let stats = Stats.make_worker () in
+let run ~record ~sink ~operator items =
+  let session = Stats.start ~threads:1 () in
+  let stats = (Stats.workers session).(0) in
   let ctx = Context.create () in
   Context.set_stats ctx stats;
   let queue = Queue.create () in
@@ -23,16 +24,7 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
     (* No concurrency: Conflict cannot be raised, every task commits. *)
     let neighborhood = Context.neighborhood_count ctx in
     stats.atomic_updates <- stats.atomic_updates + neighborhood;
-    if record then
-      records :=
-        {
-          Schedule.acquires = neighborhood;
-          inspect_work = 0;
-          commit_work = Context.work_units ctx;
-          committed = true;
-          locks = Array.map Lock.id (Context.neighborhood_array ctx);
-        }
-        :: !records;
+    if record then records := Context.attempt_record ctx ~committed:true :: !records;
     Context.release_all ctx;
     List.iter (fun c -> Queue.add c queue) (Context.pushed_list ctx);
     stats.pushes <- stats.pushes + Context.pushed_count ctx;
@@ -40,20 +32,6 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
     stats.committed <- stats.committed + 1
   done;
   let time_s = Clock.elapsed_s t0 in
-  (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
-  let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
-  emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  emit
-    (Obs.Worker_counters
-       { worker = 0; committed = stats.committed; aborted = stats.aborted;
-         acquires = stats.acquires; atomics = stats.atomic_updates;
-         work = stats.work; pushes = stats.pushes;
-         inspections = stats.inspections; chunks = stats.chunks;
-         spins = stats.spins; parks = stats.parks });
-  let stats =
-    Stats.merge ~threads:1 ~rounds:0 ~generations:0 ~time_s
-      ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)
-      [| stats |]
-  in
+  let stats = Stats.finish ~sink ~time_s session in
   let schedule = if record then Some (Schedule.Flat (List.rev !records)) else None in
   (stats, schedule)

@@ -2,8 +2,8 @@
     baseline). *)
 
 val run :
-  ?record:bool ->
-  ?sink:Obs.sink ->
+  record:bool ->
+  sink:Obs.sink ->
   operator:(('item, 'state) Context.t -> 'item -> unit) ->
   'item array ->
   Stats.t * Schedule.t option

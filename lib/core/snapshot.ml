@@ -9,13 +9,14 @@
    Wire format, all integers little-endian:
 
      "GSNAP"  5-byte magic
-     u16      format version (currently 2; v2 added the b_delta field)
+     u16      format version (currently 3; v2 added b_delta, v3
+              b_buckets — older versions are refused)
      u64      FNV-1a checksum of everything after this field
      body:
        str      app tag            (u64 length + bytes)
        str      options            (Det_options.to_string rendering)
        u8       static_id
-       i64 x6   rounds generations next_id gen_base window delta
+       i64 x7   rounds generations next_id gen_base window delta buckets
        u64      digest prefix
        i64 x6   commits aborts acquired work created inspected
        i64      n_pending, then n_pending pending ids (deque order)
@@ -60,7 +61,7 @@ let error_to_string = function
   | Io what -> Printf.sprintf "snapshot i/o error: %s" what
 
 let magic = "GSNAP"
-let version = 2
+let version = 3
 
 (* --- encoding ---------------------------------------------------------- *)
 
@@ -76,19 +77,12 @@ let encode t =
   add_str body t.app;
   add_str body t.options;
   Buffer.add_uint8 body (if t.static_id then 1 else 0);
-  add_int body b.Det_sched.b_rounds;
-  add_int body b.b_generations;
-  add_int body b.b_next_id;
-  add_int body b.b_gen_base;
-  add_int body b.b_window;
-  add_int body b.b_delta;
+  List.iter (add_int body)
+    [ b.Det_sched.b_rounds; b.b_generations; b.b_next_id; b.b_gen_base; b.b_window;
+      b.b_delta; b.b_buckets ];
   Buffer.add_int64_le body b.b_digest;
-  add_int body b.b_commits;
-  add_int body b.b_aborts;
-  add_int body b.b_acquired;
-  add_int body b.b_work;
-  add_int body b.b_created;
-  add_int body b.b_inspected;
+  List.iter (add_int body)
+    [ b.b_commits; b.b_aborts; b.b_acquired; b.b_work; b.b_created; b.b_inspected ];
   add_int body (Array.length b.b_pending_ids);
   Array.iter (add_int body) b.b_pending_ids;
   add_int body (Array.length b.b_todo_items);
@@ -177,6 +171,7 @@ let decode s =
           let b_gen_base = int () in
           let b_window = int () in
           let b_delta = int () in
+          let b_buckets = int () in
           let b_digest = i64 () in
           let b_commits = int () in
           let b_aborts = int () in
@@ -202,34 +197,13 @@ let decode s =
           if Array.length b_pending_items <> n_pending then
             raise (Bad "pending item count");
           if Array.length b_todo_items <> n_todo then raise (Bad "todo item count");
-          Ok
-            {
-              app;
-              options;
-              static_id;
-              state;
-              boundary =
-                {
-                  Det_sched.b_rounds;
-                  b_generations;
-                  b_next_id;
-                  b_gen_base;
-                  b_window;
-                  b_delta;
-                  b_digest;
-                  b_pending_ids;
-                  b_pending_items;
-                  b_todo_parents;
-                  b_todo_births;
-                  b_todo_items;
-                  b_commits;
-                  b_aborts;
-                  b_acquired;
-                  b_work;
-                  b_created;
-                  b_inspected;
-                };
-            }
+          let boundary =
+            { Det_sched.b_rounds; b_generations; b_next_id; b_gen_base; b_window; b_delta;
+              b_buckets; b_digest; b_pending_ids; b_pending_items; b_todo_parents;
+              b_todo_births; b_todo_items; b_commits; b_aborts; b_acquired; b_work;
+              b_created; b_inspected }
+          in
+          Ok { app; options; static_id; state; boundary }
         end
       end
     end

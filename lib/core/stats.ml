@@ -40,8 +40,6 @@ let make_worker () =
    [time_s]. *)
 type phase_times = { inspect_s : float; select_s : float; other_s : float }
 
-let no_phases = { inspect_s = 0.0; select_s = 0.0; other_s = 0.0 }
-
 let breakdown ~inspect_s ~select_s ~time_s =
   let inspect_s = Float.max 0.0 inspect_s
   and select_s = Float.max 0.0 select_s in
@@ -75,40 +73,38 @@ type t = {
   phases : phase_times;  (* where [time_s] went, per scheduler phase *)
 }
 
-let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~rounds
-    ~generations ~time_s workers =
-  let commits = ref 0
-  and aborts = ref 0
-  and acquired = ref 0
-  and atomics = ref 0
-  and work_units = ref 0
-  and created = ref 0
-  and inspected = ref 0
-  and spins = ref 0
-  and parks = ref 0 in
+(* Counter-wise sum of worker records. *)
+let total workers =
+  let t = make_worker () in
   Array.iter
     (fun w ->
-      commits := !commits + w.committed;
-      aborts := !aborts + w.aborted;
-      acquired := !acquired + w.acquires;
-      atomics := !atomics + w.atomic_updates;
-      work_units := !work_units + w.work;
-      created := !created + w.pushes;
-      inspected := !inspected + w.inspections;
-      spins := !spins + w.spins;
-      parks := !parks + w.parks)
+      t.committed <- t.committed + w.committed;
+      t.aborted <- t.aborted + w.aborted;
+      t.acquires <- t.acquires + w.acquires;
+      t.atomic_updates <- t.atomic_updates + w.atomic_updates;
+      t.work <- t.work + w.work;
+      t.pushes <- t.pushes + w.pushes;
+      t.inspections <- t.inspections + w.inspections;
+      t.chunks <- t.chunks + w.chunks;
+      t.spins <- t.spins + w.spins;
+      t.parks <- t.parks + w.parks)
     workers;
+  t
+
+let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~rounds
+    ~generations ~time_s workers =
+  let w = total workers in
   {
     threads;
-    commits = !commits;
-    aborts = !aborts;
-    acquired = !acquired;
-    atomics = !atomics;
-    work_units = !work_units;
-    created = !created;
-    inspected = !inspected;
-    spins = !spins;
-    parks = !parks;
+    commits = w.committed;
+    aborts = w.aborted;
+    acquired = w.acquires;
+    atomics = w.atomic_updates;
+    work_units = w.work;
+    created = w.pushes;
+    inspected = w.inspections;
+    spins = w.spins;
+    parks = w.parks;
     rounds;
     generations;
     buckets;
@@ -119,6 +115,64 @@ let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~round
       | Some p -> p
       | None -> breakdown ~inspect_s:0.0 ~select_s:0.0 ~time_s);
   }
+
+(* --- the epilogue all three schedulers share ------------------------ *)
+
+let emit (sink : Obs.sink) event =
+  (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
+  sink.emit { Obs.at_s = Unix.gettimeofday (); event }
+
+type session = {
+  workers : worker array;
+  pool : Parallel.Domain_pool.t option;
+  sync0 : (int * int) array;  (* the pool's (spins, parks) at [start] *)
+}
+
+(* The policy's thread count rules; extra pool workers stay idle. *)
+let start ?pool ~threads () =
+  let size, sync0 =
+    match pool with
+    | Some p -> (Parallel.Domain_pool.size p, Parallel.Domain_pool.sync_counters p)
+    | None -> (threads, [||])
+  in
+  { workers = Array.init (min threads size) (fun _ -> make_worker ()); pool; sync0 }
+
+let workers s = s.workers
+
+let finish ?digest ?(rounds = 0) ?(generations = 0) ?buckets ?carried ?phases ~sink
+    ~time_s s =
+  Option.iter
+    (fun pool ->
+      let sync1 = Parallel.Domain_pool.sync_counters pool in
+      Array.iteri
+        (fun w (st : worker) ->
+          let s0, p0 = s.sync0.(w) and s1, p1 = sync1.(w) in
+          st.spins <- s1 - s0;
+          st.parks <- p1 - p0)
+        s.workers)
+    s.pool;
+  let tracing = not (Obs.Sink.is_null sink) in
+  let phases =
+    match phases with
+    | Some p -> p
+    | None ->
+        if tracing then
+          emit sink (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
+        breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s
+  in
+  if tracing then
+    Array.iteri
+      (fun w (st : worker) ->
+        emit sink
+          (Obs.Worker_counters
+             { worker = w; committed = st.committed; aborted = st.aborted;
+               acquires = st.acquires; atomics = st.atomic_updates; work = st.work;
+               pushes = st.pushes; inspections = st.inspections; chunks = st.chunks;
+               spins = st.spins; parks = st.parks }))
+      s.workers;
+  let counted = match carried with Some c -> Array.append s.workers [| c |] | None -> s.workers in
+  merge ?digest ?buckets ~phases ~threads:(Array.length s.workers) ~rounds ~generations
+    ~time_s counted
 
 (* Combine reports of consecutive executions (e.g. the epochs of
    preflow-push) into one summary. *)
@@ -147,25 +201,7 @@ let add a b =
       };
   }
 
-let zero threads =
-  {
-    threads;
-    commits = 0;
-    aborts = 0;
-    acquired = 0;
-    atomics = 0;
-    work_units = 0;
-    created = 0;
-    inspected = 0;
-    spins = 0;
-    parks = 0;
-    rounds = 0;
-    generations = 0;
-    buckets = 0;
-    digest = Trace_digest.absent;
-    time_s = 0.0;
-    phases = no_phases;
-  }
+let zero threads = merge ~threads ~rounds:0 ~generations:0 ~time_s:0.0 [||]
 
 let abort_ratio t =
   let attempts = t.commits + t.aborts in

@@ -35,9 +35,6 @@ type phase_times = { inspect_s : float; select_s : float; other_s : float }
     their time under [select_s]. Always sums to {!t.time_s} (up to float
     rounding). *)
 
-val no_phases : phase_times
-(** All zero; the breakdown of {!zero}. *)
-
 val breakdown : inspect_s:float -> select_s:float -> time_s:float -> phase_times
 (** Clamp the measured phase times to [\[0, ∞)] and attribute the
     remainder of [time_s] to [other_s] (clamped at 0). *)
@@ -71,6 +68,9 @@ type t = {
 }
 (** Aggregated result of one {!Run.exec}. *)
 
+val total : worker array -> worker
+(** Counter-wise sum, as a fresh record. *)
+
 val merge :
   ?digest:Trace_digest.t ->
   ?phases:phase_times ->
@@ -83,6 +83,36 @@ val merge :
   t
 (** When [phases] is omitted the whole of [time_s] is booked under
     [other_s]; [buckets] defaults to 0 (unordered execution). *)
+
+(** {1 Scheduler epilogue} Shared by the three schedulers. *)
+
+val emit : Obs.sink -> Obs.event -> unit
+(** Stamp an event with the wall-clock time ([Obs.at_s]) and deliver it. *)
+
+type session
+(** The per-worker counters of one scheduler run. *)
+
+val start : ?pool:Parallel.Domain_pool.t -> threads:int -> unit -> session
+(** One fresh worker per thread, [threads] clamped to the [pool]'s size. *)
+
+val workers : session -> worker array
+
+val finish :
+  ?digest:Trace_digest.t ->
+  ?rounds:int ->
+  ?generations:int ->
+  ?buckets:int ->
+  ?carried:worker ->
+  ?phases:phase_times ->
+  sink:Obs.sink ->
+  time_s:float ->
+  session ->
+  t
+(** Attribute the pool's spins and parks since {!start} to the workers,
+    emit one [Worker_counters] per worker and {!merge}; [carried] is
+    merged as one more worker but gets no event. Without [phases] the
+    run was one [Execute] phase: its [Phase_time] is emitted first and
+    [time_s] is booked under [select_s]. *)
 
 val add : t -> t -> t
 (** Combine consecutive executions (counters sum, times add, digests

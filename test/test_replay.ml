@@ -32,7 +32,10 @@ let check_reports what (full : Galois.Run.report) (resumed : Galois.Run.report) 
   check_int (what ^ ": commits") full.stats.commits resumed.stats.commits;
   check_int (what ^ ": aborts") full.stats.aborts resumed.stats.aborts;
   check_int (what ^ ": created") full.stats.created resumed.stats.created;
-  check_int (what ^ ": work") full.stats.work_units resumed.stats.work_units
+  check_int (what ^ ": work") full.stats.work_units resumed.stats.work_units;
+  check_int (what ^ ": buckets") full.stats.buckets resumed.stats.buckets;
+  check_int (what ^ ": acquired") full.stats.acquired resumed.stats.acquired;
+  check_int (what ^ ": inspected") full.stats.inspected resumed.stats.inspected
 
 (* ------------------------------------------------------------------ *)
 (* Crash/resume equivalence over the fuzz generator and the apps       *)
@@ -66,6 +69,8 @@ let test_gen_crash_resume_lattice () =
       Galois.Policy.Det_options.default;
       Galois.Policy.Det_options.make ~window:(Some 8) ();
       Galois.Policy.Det_options.make ~spread:1 ~continuation:false ();
+      Galois.Policy.Det_options.make ~priority:Galois.Policy.Prio_auto ();
+      Galois.Policy.Det_options.make ~priority:Galois.Policy.Prio_auto ~window:(Some 8) ();
     ]
   in
   List.iter
@@ -191,6 +196,7 @@ let sample_snapshot () =
       b_gen_base = 30;
       b_window = 16;
       b_delta = 4;
+      b_buckets = 3;
       b_digest = D.fold_int D.seed 12345;
       b_pending_ids = [| 31; 34; 33 |];
       b_pending_items = [| (31, 0); (34, 1); (33, 2) |];
@@ -228,6 +234,8 @@ let test_codec_roundtrip () =
       check_int "next_id" b.b_next_id g.b_next_id;
       check_int "gen_base" b.b_gen_base g.b_gen_base;
       check_int "window" b.b_window g.b_window;
+      check_int "delta" b.b_delta g.b_delta;
+      check_int "buckets" b.b_buckets g.b_buckets;
       check_digest "digest" b.b_digest g.b_digest;
       Alcotest.(check (array int)) "pending ids" b.b_pending_ids g.b_pending_ids;
       check_bool "pending items" true (b.b_pending_items = g.b_pending_items);
@@ -275,12 +283,18 @@ let test_codec_corruption () =
   (match decode_error (Bytes.to_string bad_magic) with
   | Snapshot.Bad_magic -> ()
   | e -> Alcotest.failf "magic: expected Bad_magic, got %s" (Snapshot.error_to_string e));
-  (* Future version: reported before the checksum is even consulted. *)
-  let future = Bytes.of_string bytes in
-  Bytes.set future 5 (Char.chr 99);
-  match decode_error (Bytes.to_string future) with
-  | Snapshot.Bad_version 99 -> ()
-  | e -> Alcotest.failf "version: expected Bad_version 99, got %s" (Snapshot.error_to_string e)
+  (* Other versions, past (v2 lacks b_buckets) and future: reported
+     before the checksum is even consulted. *)
+  List.iter
+    (fun v ->
+      let other = Bytes.of_string bytes in
+      Bytes.set other 5 (Char.chr v);
+      match decode_error (Bytes.to_string other) with
+      | Snapshot.Bad_version got when got = v -> ()
+      | e ->
+          Alcotest.failf "version: expected Bad_version %d, got %s" v
+            (Snapshot.error_to_string e))
+    [ 2; 99 ]
 
 let test_save_load_atomic () =
   let path = Filename.temp_file "galois_snap" ".snap" in
@@ -447,7 +461,41 @@ let test_builder_validation () =
       |> Galois.Run.policy (Galois.Policy.nondet 2)
       |> Galois.Run.checkpoint_every 1
       |> Galois.Run.on_checkpoint ignore
-      |> Galois.Run.exec)
+      |> Galois.Run.exec);
+  (* Malformed resume boundaries are refused with a named
+     [Invalid_argument] before any round runs: a bfs boundary taken at
+     round 3, broken three ways. *)
+  let (Detcheck.Replay_cases.Case c) =
+    Detcheck.Replay_cases.app (Apps.Suite.get "bfs") ~size:300 ~seed:7
+  in
+  let policy = Galois.Policy.det 2 in
+  let captured = ref None in
+  let _ =
+    fst (c.fresh ())
+    |> Galois.Run.policy policy
+    |> Galois.Run.checkpoint_every 3
+    |> Galois.Run.on_checkpoint (fun snap -> captured := Some snap.Snapshot.boundary)
+    |> Galois.Run.stop_after 3
+    |> Galois.Run.exec
+  in
+  let b = match !captured with Some b -> b | None -> Alcotest.fail "no round-3 boundary" in
+  let ids = b.Galois.Det_sched.b_pending_ids and nt = Array.length b.b_todo_items in
+  check_bool "boundary has pending tasks and children" true
+    (Array.length ids >= 2 && nt >= 1);
+  let expect_refused what broken =
+    let run = fst (c.fresh ()) |> Galois.Run.policy policy |> Galois.Run.resume broken in
+    match Galois.Run.exec run with
+    | exception Invalid_argument msg when String.starts_with ~prefix:"Det_sched.run:" msg ->
+        ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  let dup = Array.copy ids in
+  dup.(1) <- dup.(0);
+  expect_refused "duplicated pending id" { b with b_pending_ids = dup };
+  expect_refused "short todo births"
+    { b with b_todo_births = Array.sub b.b_todo_births 0 (nt - 1) };
+  expect_refused "negative delta" { b with b_delta = -1 }
 
 let test_resume_validation () =
   (* A snapshot taken under one set of det options must be refused by a
