@@ -20,7 +20,9 @@
    Modes:
      bench_apps                          write BENCH_<app>.json to .
      bench_apps --out DIR                ... to DIR
-     bench_apps --compare DIR            also diff against records in DIR
+     bench_apps --compare DIR            also diff against records in DIR;
+                                         fails on a >10% minor-words/commit
+                                         regression or a digest mismatch
      bench_apps --scale tiny|small       input sizes (default small)
      bench_apps --threads T              timing-pass threads (default 4)
      bench_apps --apps bfs,sssp,...      subset (default the four apps,
@@ -350,6 +352,14 @@ let compare_against ~dir records =
             alloc.change_pct;
           if alloc.change_pct > 10.0 then begin
             Fmt.pr "  REGRESSION: minor words/commit grew more than 10%%@.";
+            ok := false
+          end;
+          (* The schedule digest is thread-invariant, so it must match
+             the baseline's whatever --threads this run used. *)
+          if r.digest <> baseline.digest then begin
+            Fmt.pr "  DIGEST MISMATCH: %s -> %s (baseline %s n=%d seed=%d; this run %s n=%d seed=%d)@."
+              baseline.digest r.digest baseline.policy baseline.size baseline.seed
+              r.policy r.size r.seed;
             ok := false
           end)
     records;

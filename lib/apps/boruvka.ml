@@ -2,39 +2,55 @@
    program — a morph algorithm in the Galois taxonomy, here expressed
    over union-find components.
 
-   A task owns one component (identified by a node): it finds the
+   A task owns one component (identified by a node): it takes the
    lightest edge leaving its component, merges the two components and
    re-activates the merged component. Neighborhood = the two current
    component roots (locked via per-root locks), so concurrent merges of
    disjoint component pairs proceed in parallel.
 
+   Each root [r] owns a persistent leftist heap [heaps.(r)] of the
+   out-edges of its component's vertices, ordered by (weight, edge id),
+   and the component size [size.(r)]. Both, and [r]'s union-find cells,
+   are read and written only under [locks.(r)]; a target's root is
+   found optimistically and re-validated after locking it.
+
+   Heap invariant (between rounds): the top of every root's heap leaves
+   the component, and an empty heap means nothing leaves it. The set of
+   edges leaving a component changes only when that component merges,
+   and the merge melds the two heaps and pops edges off the top while
+   they point back into the merged component (an edge that became
+   internal deeper down is popped once it surfaces). Inspection is
+   therefore a peek at the top — no scan, no allocation — and stays
+   cautious; the merge costs O(log m) plus the popped edges.
+
    Requires a symmetric graph with direction-symmetric weights
-   ([Graph_io.undirected_random_weights]); the per-component search only
-   scans outward-oriented edges, so the cut property needs the inward
-   copy to carry the same weight. The MSF weight is then unique (ties
-   break by edge id), so all policies must agree with [serial]
-   (Kruskal). *)
+   ([Graph_io.undirected_random_weights]); a component's heap holds only
+   its vertices' out-edges, so the cut property needs the inward copy to
+   carry the same weight. The MSF weight is then unique (ties break by
+   edge id), so all policies must agree with [serial] (Kruskal). *)
 
 module Csr = Graphlib.Csr
 module Uf = Graphlib.Union_find
 
 type forest = { parent_edge : int list; total_weight : int }
 
-(* The lightest (weight, edge id) leaving the component of [root],
-   scanning that component's vertices; ties break by edge id for
-   determinism. *)
-let lightest_out g weights members uf root =
-  let best = ref None in
-  List.iter
-    (fun u ->
-      Csr.iter_succ_edges g u (fun e v ->
-          if Uf.find_readonly uf v <> root then
-            let cand = (weights.(e), e, u, v) in
-            match !best with
-            | None -> best := Some cand
-            | Some b -> if cand < b then best := Some cand))
-    members.(root);
-  !best
+(* Persistent leftist min-heap of edge ids keyed by (weight, edge id);
+   each node caches its edge's weight so comparisons are int-only. *)
+type heap = Empty | Node of { rank : int; w : int; e : int; l : heap; r : heap }
+
+let rank = function Empty -> 0 | Node n -> n.rank
+
+(* Keep the higher-ranked child on the left (the leftist property). *)
+let node w e a b =
+  if rank a >= rank b then Node { rank = rank b + 1; w; e; l = a; r = b }
+  else Node { rank = rank a + 1; w; e; l = b; r = a }
+
+let rec meld h1 h2 =
+  match (h1, h2) with
+  | Empty, h | h, Empty -> h
+  | Node a, Node b ->
+      if a.w < b.w || (a.w = b.w && a.e < b.e) then node a.w a.e a.l (meld a.r h2)
+      else node b.w b.e b.l (meld h1 b.r)
 
 (* Unexecuted run description + a closure reading the forest off the
    world. No snapshot hook: the union-find structure has no copy-out
@@ -47,41 +63,46 @@ let plan g weights =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let uf = Uf.create n in
-  (* Component member lists, merged on union; owned by the root's
-     lock. *)
-  let members = Array.init n (fun u -> [ u ]) in
+  let heaps =
+    Array.init n (fun u ->
+        let h = ref Empty in
+        Csr.iter_succ_edges g u (fun e v ->
+            if v <> u then h := meld !h (node weights.(e) e Empty Empty));
+        !h)
+  in
+  let size = Array.make n 1 in
   let chosen = Array.make (Csr.edges g) false in
+  (* Optimistically find the root of [x], then lock it and re-validate —
+     the same pattern as dt's container location. *)
+  let rec lock_root ctx x =
+    let r = Uf.find_readonly uf x in
+    Galois.Context.acquire ctx locks.(r);
+    if Uf.find_readonly uf x = r then r else lock_root ctx x
+  in
+  (* Pop edges off the top while they point into [root]'s component. *)
+  let rec clean root = function
+    | Node { e; l; r; _ } when Uf.find_readonly uf (Csr.edge_target g e) = root ->
+        clean root (meld l r)
+    | h -> h
+  in
   let operator ctx u =
-    (* Optimistically find our root, then lock it and re-validate — the
-       same pattern as dt's container location. *)
-    let rec lock_root x =
-      let r = Uf.find_readonly uf x in
-      Galois.Context.acquire ctx locks.(r);
-      if Uf.find_readonly uf x = r then r else lock_root x
-    in
-    let root = lock_root u in
-    if root <> Uf.find_readonly uf u then ()
-    else
-      match lightest_out g weights members uf root with
-      | None -> () (* isolated component: done, pure *)
-      | Some (_, e, _, v) ->
-          let other = lock_root v in
-          (* Locking [other] happened after computing the edge; if the
-             component moved, retry by re-finding the lightest edge.
-             Re-validate simply by checking roots are still distinct and
-             stable. *)
-          if other = root then () (* merged underneath us: stale task *)
-          else begin
-            Galois.Context.work ctx (List.length members.(root));
-            Galois.Context.failsafe ctx;
-            ignore (Uf.union uf root other);
-            let new_root = Uf.find_readonly uf root in
-            members.(new_root) <- List.rev_append members.(root) members.(other);
-            if new_root <> root then members.(root) <- [];
-            if new_root <> other then members.(other) <- [];
-            chosen.(e) <- true;
-            Galois.Context.push ctx new_root
-          end
+    let root = lock_root ctx u in
+    match heaps.(root) with
+    | Empty -> () (* nothing leaves the component: done, pure *)
+    | Node { e; _ } ->
+        (* By the heap invariant [e] leaves the component, so [other]
+           is a distinct root. *)
+        let other = lock_root ctx (Csr.edge_target g e) in
+        Galois.Context.work ctx size.(root);
+        Galois.Context.failsafe ctx;
+        let merged = Uf.link uf root other in
+        let h = meld heaps.(root) heaps.(other) in
+        heaps.(root) <- Empty;
+        heaps.(other) <- Empty;
+        heaps.(merged) <- clean merged h;
+        size.(merged) <- size.(root) + size.(other);
+        chosen.(e) <- true;
+        Galois.Context.push ctx merged
   in
   let run = Galois.Run.make ~operator (Array.init n Fun.id) |> Galois.Run.app "boruvka" in
   let forest () =

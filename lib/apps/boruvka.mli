@@ -1,5 +1,13 @@
 (** Boruvka's minimum spanning forest as an unordered Galois program.
 
+    Each component root owns a persistent leftist heap of its vertices'
+    out-edges ordered by (weight, edge id), guarded by that root's lock.
+    Between rounds the top of every root's heap leaves the component
+    (empty: nothing leaves), so a task locks its root, peeks the top and
+    locks the top's target root — no scan, no allocation. After the
+    failsafe point it links the two roots, melds their heaps into the new
+    root and pops edges that now point back into it.
+
     Requires a symmetric graph with direction-symmetric weights
     ({!Graphlib.Graph_io.undirected_random_weights}); ties break by edge
     id, making the forest weight unique across all policies. *)

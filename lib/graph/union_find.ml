@@ -19,13 +19,27 @@ let rec find t x =
     find t gp
   end
 
+(* Union by rank of two distinct roots. Writes only the two roots'
+   [parent] and [rank] cells, so it is safe while holding per-root
+   locks on both. *)
+let link t ra rb =
+  if t.parent.(ra) <> ra || t.parent.(rb) <> rb then invalid_arg "Union_find.link: not a root";
+  if ra = rb then invalid_arg "Union_find.link: same root";
+  if t.rank.(ra) < t.rank.(rb) then begin
+    t.parent.(ra) <- rb;
+    rb
+  end
+  else begin
+    t.parent.(rb) <- ra;
+    if t.rank.(ra) = t.rank.(rb) then t.rank.(ra) <- t.rank.(ra) + 1;
+    ra
+  end
+
 let union t a b =
   let ra = find t a and rb = find t b in
   if ra = rb then false
   else begin
-    let ra, rb = if t.rank.(ra) < t.rank.(rb) then (rb, ra) else (ra, rb) in
-    t.parent.(rb) <- ra;
-    if t.rank.(ra) = t.rank.(rb) then t.rank.(ra) <- t.rank.(ra) + 1;
+    ignore (link t ra rb);
     true
   end
 

@@ -32,6 +32,23 @@ let test_union_find_readonly () =
   ignore (Uf.union uf 1 2);
   check_int "readonly root agrees" (Uf.find uf 2) (Uf.find_readonly uf 2)
 
+let test_union_find_link () =
+  let uf = Uf.create 6 in
+  let r = Uf.link uf 0 1 in
+  check_int "link = find of first" r (Uf.find uf 0);
+  check_int "link = find of second" r (Uf.find uf 1);
+  (* Union by rank: the rank-1 root absorbs the rank-0 one. *)
+  let r' = Uf.link uf 2 r in
+  check_int "higher rank wins" r r';
+  check_int "link = find of both" (Uf.find uf 2) r';
+  let loser = if r = 0 then 1 else 0 in
+  Alcotest.check_raises "non-root" (Invalid_argument "Union_find.link: not a root") (fun () ->
+      ignore (Uf.link uf loser 3));
+  Alcotest.check_raises "non-root second" (Invalid_argument "Union_find.link: not a root")
+    (fun () -> ignore (Uf.link uf 3 loser));
+  Alcotest.check_raises "same root" (Invalid_argument "Union_find.link: same root") (fun () ->
+      ignore (Uf.link uf r r))
+
 let prop_union_find_partition =
   QCheck.Test.make ~name:"union-find partitions consistently" ~count:100
     QCheck.(pair (int_range 2 40) (list_of_size Gen.(int_range 0 80) (pair small_nat small_nat)))
@@ -179,6 +196,69 @@ let test_boruvka_edge_count () =
   check_int "n - components edges" (Csr.nodes g - Uf.components uf)
     (List.length forest.Apps.Boruvka.parent_edge)
 
+(* A SplitMix-seeded symmetric multigraph: up to four blocks with edges
+   only inside a block (several components), a few trailing vertices
+   with no edges (isolated), self-loops, parallel edges, and weights in
+   1..max_weight with max_weight 1-3 (ties). *)
+let random_multigraph seed =
+  let module Sm = Parallel.Splitmix in
+  let rng = Sm.create seed in
+  let n = 1 + Sm.int rng 40 in
+  let active = max 1 (n - Sm.int rng 3) in
+  let blocks = 1 + Sm.int rng 4 in
+  let pairs = ref [] in
+  for _ = 1 to Sm.int rng (3 * active) do
+    let u = Sm.int rng active in
+    let b = u mod blocks in
+    let in_block = ((active - 1 - b) / blocks) + 1 in
+    let v = if Sm.int rng 8 = 0 then u else b + (blocks * Sm.int rng in_block) in
+    let copies = if Sm.int rng 4 = 0 then 2 else 1 in
+    for _ = 1 to copies do
+      pairs := (u, v) :: (v, u) :: !pairs
+    done
+  done;
+  let g = Csr.of_edges ~n (Array.of_list !pairs) in
+  let w = Graphlib.Graph_io.undirected_random_weights ~seed ~max_weight:(1 + Sm.int rng 3) g in
+  (g, w)
+
+let test_boruvka_random_multigraphs () =
+  let self_loops = ref 0 and parallel = ref 0 and split = ref 0 and isolated = ref 0 in
+  for seed = 1 to 30 do
+    let g, w = random_multigraph seed in
+    let edges = Csr.all_edges g in
+    if Array.exists (fun (u, v) -> u = v) edges then incr self_loops;
+    let sorted = Array.copy edges in
+    Array.sort compare sorted;
+    if Array.exists Fun.id (Array.mapi (fun i e -> i > 0 && sorted.(i - 1) = e) sorted) then
+      incr parallel;
+    let uf = Uf.create (Csr.nodes g) in
+    Array.iter (fun (u, v) -> ignore (Uf.union uf u v)) edges;
+    if Uf.components uf > 1 then incr split;
+    if List.exists (fun u -> Csr.out_degree g u = 0) (List.init (Csr.nodes g) Fun.id) then
+      incr isolated;
+    let reference = Apps.Boruvka.serial g w in
+    let run name policy =
+      let forest, report = Apps.Boruvka.galois ~policy g w in
+      if not (Apps.Boruvka.validate g forest) then
+        Alcotest.failf "seed %d %s: invalid forest" seed name;
+      if forest.Apps.Boruvka.total_weight <> reference.Apps.Boruvka.total_weight then
+        Alcotest.failf "seed %d %s: weight %d, kruskal %d" seed name
+          forest.Apps.Boruvka.total_weight reference.Apps.Boruvka.total_weight;
+      report.stats.digest
+    in
+    ignore (run "serial" Galois.Policy.serial);
+    ignore (run "nondet:2" (Galois.Policy.nondet 2));
+    let d1 = run "det:1" (Galois.Policy.det 1) and d2 = run "det:2" (Galois.Policy.det 2) in
+    if not (Galois.Trace_digest.equal d1 d2) then
+      Alcotest.failf "seed %d: det:1 digest %a, det:2 %a" seed Galois.Trace_digest.pp d1
+        Galois.Trace_digest.pp d2
+  done;
+  (* The generator must really produce the shapes the property is for. *)
+  check_bool "some graphs have self-loops" true (!self_loops > 0);
+  check_bool "some graphs have parallel edges" true (!parallel > 0);
+  check_bool "some graphs have several components" true (!split > 0);
+  check_bool "some graphs have isolated vertices" true (!isolated > 0)
+
 (* --- pagerank ----------------------------------------------------------- *)
 
 let test_pagerank_converges () =
@@ -240,6 +320,7 @@ let suite =
   [
     Alcotest.test_case "union-find basics" `Quick test_union_find_basics;
     Alcotest.test_case "union-find readonly find" `Quick test_union_find_readonly;
+    Alcotest.test_case "union-find link joins roots" `Quick test_union_find_link;
     QCheck_alcotest.to_alcotest prop_union_find_partition;
     Alcotest.test_case "graph io roundtrip" `Quick test_graph_io_roundtrip;
     Alcotest.test_case "graph io rejects garbage" `Quick test_graph_io_rejects_garbage;
@@ -253,6 +334,8 @@ let suite =
     Alcotest.test_case "boruvka: weight matches kruskal" `Quick
       test_boruvka_weight_matches_kruskal;
     Alcotest.test_case "boruvka: forest size" `Quick test_boruvka_edge_count;
+    Alcotest.test_case "boruvka: random multigraphs match kruskal" `Quick
+      test_boruvka_random_multigraphs;
     Alcotest.test_case "pagerank: converges to power iteration" `Quick test_pagerank_converges;
     Alcotest.test_case "pagerank: det bit-portable" `Quick test_pagerank_det_portable;
     Alcotest.test_case "pagerank: sink nodes" `Quick test_pagerank_sink_nodes;
